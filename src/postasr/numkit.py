@@ -1,11 +1,13 @@
 """Dense N-d float arrays with reverse-mode automatic differentiation.
 
 Storage is float32 by default (a tape may be created with float64 for
-high-precision checks); reductions always accumulate in float64. Elementwise
-primitives require exact shape agreement and never broadcast implicitly;
-``broadcast_to`` is the one explicit way to expand a shape. A ``Tape``
-records primitive applications in order, and ``Tape.backward`` replays the
-record once, in reverse, accumulating a gradient per node.
+high-precision checks). Elementwise math and matrix products (BLAS
+contractions) run in the tape's dtype; the other reductions accumulate in
+float64. Elementwise primitives require exact shape agreement and never
+broadcast implicitly; ``broadcast_to`` is the one explicit way to expand a
+shape. A ``Tape`` records primitive applications in order, and
+``Tape.backward`` replays the record once, in reverse, accumulating a
+gradient per node.
 
 Every operation is deterministic; the only stochastic primitive, ``dropout``,
 takes an explicit seed and a train/eval flag and is the identity at eval.
@@ -242,16 +244,26 @@ def relu(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """Gaussian error linear unit (tanh approximation); smooth everywhere."""
-    x = a.value.astype(np.float64)
-    inner = _GELU_C * (x + 0.044715 * x**3)
+    """Gaussian error linear unit (tanh approximation); smooth everywhere.
+
+    Computes in the input's dtype, so a float32 tape stays float32 and a
+    float64 tape stays float64. The cube is ``x * x * x``: numpy has no
+    fast path for ``x**3``.
+    """
+    x = a.value
+    c, k, half, one = (x.dtype.type(v) for v in (_GELU_C, 0.044715, 0.5, 1.0))
+    x2 = x * x
+    inner = c * (x + k * x2 * x)
     tanh = np.tanh(inner)
-    out = 0.5 * x * (1.0 + tanh)
+    out = half * x * (one + tanh)
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-        d = 0.5 * (1.0 + tanh) + 0.5 * x * (1.0 - tanh**2) * dinner
-        return (g * d.astype(g.dtype),)
+        # 1 - tanh**2 as 4e / (1 + e)**2 with e = exp(-2|inner|): the
+        # subtraction loses all float32 digits once |tanh| rounds near 1.
+        e = np.exp(-2 * np.abs(inner))
+        sech2 = 4 * e / ((one + e) * (one + e))
+        d = half * (one + tanh) + half * x * sech2 * c * (one + 3 * k * x2)
+        return (g * d,)
 
     return a.tape._make(out, (a,), backward)
 
@@ -338,14 +350,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul: batch dimensions differ, {av.shape} @ {bv.shape}")
     if av.shape[-1] != bv.shape[-2]:
         raise ValueError(f"matmul: inner dimensions differ, {av.shape} @ {bv.shape}")
+    if bv.ndim == 2 and av.ndim > 2:
+        # Fold the batch axes into rows: one GEMM each way instead of one
+        # small GEMM per batch row and a batched weight gradient to sum.
+        a2 = av.reshape(-1, av.shape[-1])
+
+        def backward_folded(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return ((g2 @ bv.T).reshape(av.shape), a2.T @ g2)
+
+        out = (a2 @ bv).reshape(av.shape[:-1] + bv.shape[-1:])
+        return tape._make(out, (a, b), backward_folded)
 
     def backward(g):
         ga = np.matmul(g, bv.swapaxes(-1, -2))
         gb = np.matmul(av.swapaxes(-1, -2), g)
-        if ga.shape != av.shape:
+        if ga.shape != av.shape:  # a 2-d left operand applied across b's batch
             ga = ga.reshape((-1,) + av.shape).sum(axis=0, dtype=np.float64)
-        if gb.shape != bv.shape:
-            gb = gb.reshape((-1,) + bv.shape).sum(axis=0, dtype=np.float64)
         return (ga, gb)
 
     return tape._make(np.matmul(av, bv), (a, b), backward)
@@ -468,8 +489,12 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     out_val = table.value[ids]
 
     def backward(g):
-        acc = np.zeros(table.value.shape, dtype=np.float64)
-        np.add.at(acc, ids.reshape(-1), g.reshape(-1, table.value.shape[-1]))
-        return (acc,)
+        # One float64 bin per (id, column), filled in input order from 0.0:
+        # the same additions in the same order as np.add.at, so the same
+        # bits, without its per-element dispatch.
+        h = table.value.shape[-1]
+        bins = (ids.reshape(-1, 1) * h + np.arange(h)).reshape(-1)
+        acc = np.bincount(bins, weights=g.reshape(-1), minlength=table.value.size)
+        return (acc.reshape(table.value.shape),)
 
     return table.tape._make(out_val, (table,), backward)

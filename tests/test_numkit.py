@@ -176,6 +176,14 @@ FD_CASES = {
         lambda t, ls: scalar_loss(numkit.matmul(ls[0], ls[1])),
         [np.random.default_rng(4).normal(size=(2, 3, 4)), np.random.default_rng(5).normal(size=(4, 5))],
     ),
+    "matmul_4d_lhs_2d_rhs": (
+        lambda t, ls: scalar_loss(numkit.mul(numkit.matmul(ls[0], ls[1]), ls[2])),
+        [
+            np.random.default_rng(23).normal(size=(2, 3, 2, 4)),
+            np.random.default_rng(24).normal(size=(4, 3)),
+            np.random.default_rng(25).normal(size=(2, 3, 2, 3)),
+        ],
+    ),
     "softmax": (
         lambda t, ls: scalar_loss(numkit.mul(numkit.softmax(ls[0]), ls[1])),
         [np.random.default_rng(6).normal(size=(3, 5)), np.random.default_rng(7).normal(size=(3, 5))],
@@ -255,6 +263,61 @@ def test_random_composite_graph_gradients(seed):
     # error swamps any step size. Exact-eps behavior is covered by the
     # fixed well-conditioned cases above.
     finite_difference_check(build, params, h=1e-4)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ids", [
+    np.array([[3, 1, 3], [0, 3, 1]]),               # repeated ids, row 2 unused
+    np.random.default_rng(30).integers(0, 9, size=(40, 22)),
+    np.zeros((0, 4), dtype=np.int64),                # empty: the zero table
+], ids=["repeats", "batch", "empty"])
+def test_embedding_gradient_matches_add_at_bit_for_bit(dtype, ids):
+    rng = np.random.default_rng(31)
+    tape = Tape(dtype)
+    table = tape.leaf(rng.normal(size=(9, 5)))
+    out = numkit.embedding(table, ids)
+    weight = rng.normal(size=out.shape).astype(dtype)
+    tape.backward(numkit.mul(out, tape.constant(weight)).sum())
+    want = np.zeros((9, 5), dtype=np.float64)
+    np.add.at(want, ids.reshape(-1), weight.reshape(-1, 5))
+    assert table.grad.dtype == dtype
+    assert table.grad.tobytes() == want.astype(dtype).tobytes()
+
+
+def test_gelu_float32_matches_float64_reference():
+    x = np.linspace(-8.0, 8.0, 100_001).astype(np.float32)
+
+    def run(dtype):
+        tape = Tape(dtype)
+        leaf = tape.leaf(x)
+        y = numkit.gelu(leaf)
+        tape.backward(y.sum())
+        assert y.value.dtype == dtype and leaf.grad.dtype == dtype
+        return y.value, leaf.grad
+
+    y32, g32 = run(np.float32)
+    y64, g64 = run(np.float64)
+    assert np.abs(y32 - y64).max() < 1e-6
+    assert np.abs(g32 - g64).max() < 1e-6
+
+
+@pytest.mark.parametrize("lead", [(4, 6), (2, 3, 5)], ids=["3d", "4d"])
+def test_matmul_2d_rhs_matches_batched_numpy(lead):
+    """The folded product against np.matmul and the batched gradient summed
+    over the batch axes in float64, on a float32 tape."""
+    rng = np.random.default_rng(32)
+    a = rng.normal(size=lead + (7,)).astype(np.float32)
+    b = rng.normal(size=(7, 3)).astype(np.float32)
+    w = rng.normal(size=lead + (3,)).astype(np.float32)
+    tape = Tape()
+    la, lb = tape.leaf(a), tape.leaf(b)
+    out = numkit.matmul(la, lb)
+    tape.backward(numkit.mul(out, tape.constant(w)).sum())
+    want_ga = np.matmul(w, b.T)
+    want_gb = np.matmul(a.swapaxes(-1, -2), w).reshape(-1, 7, 3).sum(axis=0, dtype=np.float64)
+    for got, want in [(out.value, np.matmul(a, b)), (la.grad, want_ga), (lb.grad, want_gb)]:
+        assert got.dtype == np.float32 and got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
 
 
 def test_dropout_gradient_uses_same_mask():
