@@ -251,18 +251,17 @@ def gelu(a: Tensor) -> Tensor:
     fast path for ``x**3``.
     """
     x = a.value
-    c, k, half, one = (x.dtype.type(v) for v in (_GELU_C, 0.044715, 0.5, 1.0))
     x2 = x * x
-    inner = c * (x + k * x2 * x)
+    inner = _GELU_C * (x + 0.044715 * x2 * x)
     tanh = np.tanh(inner)
-    out = half * x * (one + tanh)
+    out = 0.5 * x * (1.0 + tanh)
 
     def backward(g):
         # 1 - tanh**2 as 4e / (1 + e)**2 with e = exp(-2|inner|): the
         # subtraction loses all float32 digits once |tanh| rounds near 1.
         e = np.exp(-2 * np.abs(inner))
-        sech2 = 4 * e / ((one + e) * (one + e))
-        d = half * (one + tanh) + half * x * sech2 * c * (one + 3 * k * x2)
+        sech2 = 4 * e / ((1.0 + e) * (1.0 + e))
+        d = 0.5 * (1.0 + tanh) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x2)
         return (g * d,)
 
     return a.tape._make(out, (a,), backward)
