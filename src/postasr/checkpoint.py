@@ -4,8 +4,7 @@ A checkpoint directory holds two files. ``manifest.txt`` starts with a
 format header, then metadata lines, then one record per tensor giving its
 name, shape, and byte offset. ``tensors.bin`` is the concatenation of every
 tensor as little-endian float32 in row-major order. Save and load round
-trip bit-exactly, which is what makes weight transfer and resumable
-training auditable.
+trip bit-exactly, which is what makes weight transfer auditable.
 """
 
 from __future__ import annotations

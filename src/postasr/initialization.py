@@ -20,8 +20,6 @@ from .model import ModelSpec, encoder_tensor_names, param_shapes, sinusoidal_pos
 
 INIT_SOURCES = ("random", "pretrained")
 
-_META_DIMS = ("L", "H", "A", "V", "max_len", "ffn_mult")
-
 
 @dataclass(frozen=True)
 class InitPlan:
@@ -72,11 +70,9 @@ def init_random(spec: ModelSpec, std: float = 0.02, seed: int = 0) -> dict[str, 
 
 
 def _check_compat(ckpt: ck.Checkpoint, spec: ModelSpec) -> None:
-    for dim in _META_DIMS:
-        if dim in ckpt.meta and int(ckpt.meta[dim]) != getattr(spec, dim):
-            raise ValueError(
-                f"checkpoint {dim}={ckpt.meta[dim]} incompatible with spec {dim}={getattr(spec, dim)}"
-            )
+    for key, value in spec.to_meta().items():
+        if key in ckpt.meta and ckpt.meta[key] != value:
+            raise ValueError(f"checkpoint {key}={ckpt.meta[key]} incompatible with spec {key}={value}")
 
 
 def _copy_tensor(ckpt: ck.Checkpoint, src_name: str, dst_name: str, shape) -> np.ndarray:
@@ -168,8 +164,7 @@ def make_random_checkpoint(spec: ModelSpec, seed: int = 0, vocab_hash: str | Non
     transfer plumbing. Every tensor is random so copies are detectable."""
     rng = np.random.default_rng(seed)
     shapes = param_shapes(spec)
-    meta = {dim: str(getattr(spec, dim)) for dim in _META_DIMS}
-    meta["norm"] = "post"
+    meta = spec.to_meta()
     if vocab_hash is not None:
         meta["vocab_sha1"] = vocab_hash
     ckpt = ck.Checkpoint(meta=meta)

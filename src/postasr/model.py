@@ -26,6 +26,9 @@ from .wordpiece import BOS, EOS, PAD
 
 _MASK_VALUE = -1e9
 
+# Architecture fields recorded in checkpoint metadata.
+_META_DIMS = ("L", "H", "A", "V", "max_len", "ffn_mult")
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -40,7 +43,7 @@ class ModelSpec:
     ffn_mult: int = 4
 
     def __post_init__(self):
-        for name in ("L", "H", "A", "V", "max_len", "ffn_mult"):
+        for name in _META_DIMS:
             if getattr(self, name) < 1:
                 raise ValueError(f"ModelSpec.{name} must be >= 1")
         if self.H % self.A != 0:
@@ -52,11 +55,22 @@ class ModelSpec:
     def head_dim(self) -> int:
         return self.H // self.A
 
+    def to_meta(self) -> dict[str, str]:
+        """Checkpoint metadata recording this architecture."""
+        meta = {dim: str(getattr(self, dim)) for dim in _META_DIMS}
+        meta["norm"] = "post"
+        return meta
+
+    @classmethod
+    def from_meta(cls, meta: dict[str, str]) -> "ModelSpec":
+        """The architecture a checkpoint records. Dropout only matters while
+        training, so the spec comes back with P_drop = 0."""
+        return cls(P_drop=0.0, **{dim: int(meta[dim]) for dim in _META_DIMS})
+
 
 @dataclass(frozen=True)
 class LossConfig:
     smoothing: float = 0.1
-    exclude_pad: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.smoothing < 1.0:
@@ -274,7 +288,7 @@ def _smoothed_targets(targets: np.ndarray, v: int, cfg: LossConfig):
     """Per-position mixed distribution q and the non-pad position count."""
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise ValueError(f"target id out of range for vocab size {v}")
-    mask = (targets != PAD) if cfg.exclude_pad else np.ones_like(targets, dtype=bool)
+    mask = targets != PAD
     n = int(mask.sum())
     if n == 0:
         raise ValueError("label_smoothed_loss: every position is padding")

@@ -89,29 +89,3 @@ def novograd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         new_m[name] = m
         new_p[name] = (w64 - lr_t * m).astype(w.dtype)
     return new_p, OptimizerState(m=new_m, v=new_v, step=state.step + 1)
-
-
-_STATE_STEP = "optim.step"
-
-
-def state_tensors(state: OptimizerState) -> dict[str, np.ndarray]:
-    """Flatten state into checkpoint-storable named tensors."""
-    out = {_STATE_STEP: np.float32(state.step)}
-    for name, m in state.m.items():
-        out[f"optim.m.{name}"] = m.astype(np.float32)
-        out[f"optim.v.{name}"] = np.float32(state.v[name])
-    return out
-
-
-def state_from_tensors(tensors: dict[str, np.ndarray]) -> OptimizerState:
-    if _STATE_STEP not in tensors:
-        raise ValueError("optimizer state tensors missing step counter")
-    state = OptimizerState(step=int(float(tensors[_STATE_STEP])))
-    for name, arr in tensors.items():
-        if name.startswith("optim.m."):
-            state.m[name[len("optim.m."):]] = np.asarray(arr, dtype=np.float64)
-        elif name.startswith("optim.v."):
-            state.v[name[len("optim.v."):]] = float(arr)
-    if set(state.m) != set(state.v):
-        raise ValueError("optimizer state tensors are inconsistent")
-    return state

@@ -141,8 +141,6 @@ SCALE_PRESETS: dict[str, dict] = {
     },
 }
 
-_VARIANTS = ("base", "+dropout", "+cutout", "+both")
-
 
 def _deep_merge(base: dict, over: dict, prefix: str = "") -> dict:
     """Override leaves of `base`; unknown keys are rejected by name."""
@@ -185,8 +183,8 @@ def validate_config(cfg: dict) -> None:
     _expect(cfg, "data.folds", int, lambda v: v >= 2)
     _expect(cfg, "data.n_dropout_rounds", int, lambda v: v >= 0)
     _expect(cfg, "data.wer_max", num, lambda v: 0 < v <= 1)
-    if cfg["data"]["variant"] not in _VARIANTS:
-        raise ConfigError(f"config field data.variant must be one of {_VARIANTS}")
+    if cfg["data"]["variant"] not in datagen.VARIANTS:
+        raise ConfigError(f"config field data.variant must be one of {datagen.VARIANTS}")
     for field in ("L", "H", "A", "max_len", "ffn_mult"):
         _expect(cfg, f"model.{field}", int, lambda v: v >= 1)
     if cfg["model"]["H"] % cfg["model"]["A"] != 0:
@@ -208,8 +206,8 @@ def validate_config(cfg: dict) -> None:
     _expect(cfg, "correct.width", int, lambda v: v >= 1)
     _expect(cfg, "eval.pairs", str, lambda v: bool(v))
     _expect(cfg, "ablate.steps", int, lambda v: v >= 1)
-    if cfg["ablate"]["variant"] not in _VARIANTS:
-        raise ConfigError(f"config field ablate.variant must be one of {_VARIANTS}")
+    if cfg["ablate"]["variant"] not in datagen.VARIANTS:
+        raise ConfigError(f"config field ablate.variant must be one of {datagen.VARIANTS}")
 
 
 def load_config_file(path) -> dict:
@@ -476,11 +474,7 @@ def _train_stage(cfg: dict, out_dir: Path) -> StageResult:
     return StageResult(summary, inputs=tuple(inputs), outputs=tuple(outputs), notes=notes)
 
 
-def _spec_from_meta(meta: dict) -> ModelSpec:
-    # Dropout is irrelevant after training, so the spec is rebuilt eval-only.
-    return ModelSpec(L=int(meta["L"]), H=int(meta["H"]), A=int(meta["A"]), P_drop=0.0,
-                     V=int(meta["V"]), max_len=int(meta["max_len"]),
-                     ffn_mult=int(meta["ffn_mult"]))
+_spec_from_meta = ModelSpec.from_meta  # the name the benchmark calls
 
 
 def _apply_corrector(spec: ModelSpec, weights, vocab: wp.Vocab, pairs, width: int):
@@ -498,12 +492,11 @@ def _apply_corrector(spec: ModelSpec, weights, vocab: wp.Vocab, pairs, width: in
 
 def _correct_stage(cfg: dict, out_dir: Path) -> StageResult:
     vocab = wp.Vocab.load(_require(out_dir, VOCAB_FILE))
-    meta, weights, _ = load_training_checkpoint(_require(out_dir, CKPT_DIR))
+    meta, weights, spec = load_training_checkpoint(_require(out_dir, CKPT_DIR))
     stored = meta.get("vocab_sha1")
     if stored is not None and stored != vocab.content_hash():
         raise ConfigError(f"checkpoint was trained with vocabulary {stored}, "
                           f"but {VOCAB_FILE} hashes to {vocab.content_hash()}")
-    spec = _spec_from_meta(meta)
     eval_pairs = datagen.read_pairs_jsonl(_require(out_dir, EVAL_PAIRS_FILE))
 
     corrected = _apply_corrector(spec, weights, vocab, eval_pairs, cfg["correct"]["width"])
@@ -574,7 +567,7 @@ def _ablate_stage(cfg: dict, out_dir: Path) -> StageResult:
         return float(result.losses[-1]), [(p.target, p.source) for p in corrected]
 
     runs1 = []
-    for label in _VARIANTS:
+    for label in datagen.VARIANTS:
         loss, scored = fit_and_score(InitPlan(seed=cfg["seed"]),
                                      datagen.variant(pairs, label, dg))
         losses[f"data:{label}"] = round(loss, 6)

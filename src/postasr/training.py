@@ -27,14 +27,7 @@ from .model import (
     label_smoothed_loss,
 )
 from .numkit import Tape
-from .optim import (
-    OptimizerConfig,
-    init_state,
-    novograd_step,
-    poly_decay,
-    state_from_tensors,
-    state_tensors,
-)
+from .optim import OptimizerConfig, init_state, novograd_step, poly_decay
 from .wordpiece import UNK, Vocab
 from .wordpiece import encode as wp_encode
 
@@ -136,33 +129,75 @@ def _mix_seed(seed: int, step: int) -> int:
     return int((seed * 2654435761 + step * 40503 + 1) % (2**31 - 1))
 
 
-def _loss_on_batch(spec, tensors, tape, batch_arrays, smoothing, train, seed):
-    src, tgt_in, targets = batch_arrays
-    logits = build_forward(tape, spec, tensors, src, tgt_in, train=train, seed=seed)
-    return label_smoothed_loss(logits, targets, LossConfig(smoothing=smoothing))
-
-
 @dataclass
 class TrainResult:
     weights: dict[str, np.ndarray]
-    state: object
     losses: list[float]
     steps_run: int
     stopped_at: int | None = None
 
 
+def _pair_loss(spec: ModelSpec, smoothing: float, train: bool):
+    """Batch loss of the corrector: smoothed cross-entropy of the decoder."""
+    def batch_loss(tape, tensors, items, rng, seed):
+        src, tgt_in, targets = pad_batch(items)
+        logits = build_forward(tape, spec, tensors, src, tgt_in, train=train, seed=seed)
+        return label_smoothed_loss(logits, targets, LossConfig(smoothing=smoothing))
+    return batch_loss
+
+
+def _run_steps(params: dict[str, np.ndarray], encoded: list[EncodedPair], cfg: TrainConfig,
+               rng_key: tuple[int, ...], batch_loss, log=None, stop=None) -> TrainResult:
+    """NovoGrad over token-budget batches of ``encoded`` for cfg.steps steps.
+
+    ``batch_loss(tape, tensors, items, rng, seed)`` builds one batch's
+    scalar loss on ``tape`` over the leaf ``tensors``, or returns None to
+    skip the batch; ``rng`` is the epoch's generator, which shuffled the
+    batches. ``stop(step, params)`` may end the run after any step.
+    """
+    state = init_state(params)
+    ocfg = cfg.optimizer()
+    losses: list[float] = []
+    step = epoch = 0
+    while step < cfg.steps:
+        rng = np.random.default_rng([*rng_key, epoch])
+        epoch_start = step
+        for batch_ids in token_budget_batches(encoded, cfg.token_budget, rng):
+            tape = Tape()
+            tensors = {n: tape.leaf(a) for n, a in params.items()}
+            loss = batch_loss(tape, tensors, [encoded[i] for i in batch_ids], rng,
+                              _mix_seed(cfg.seed, step))
+            if loss is None:
+                tape.release()
+                continue
+            tape.backward(loss)
+            grads = {n: tensors[n].grad for n in params}
+            tape.release()
+            params, state = novograd_step(params, grads, state, ocfg, poly_decay(step, ocfg))
+            losses.append(float(loss.value))
+            step += 1
+            if log is not None:
+                log(step, losses[-1])
+            if stop is not None and stop(step, params):
+                return TrainResult(params, losses, step, stopped_at=step)
+            if step >= cfg.steps:
+                break
+        if step == epoch_start:
+            raise ValueError("every batch of an epoch was skipped; no step can run")
+        epoch += 1
+    return TrainResult(params, losses, step)
+
+
 def evaluate_loss(spec: ModelSpec, weights: dict[str, np.ndarray], encoded: list[EncodedPair],
                   smoothing: float = 0.0, batch_size: int = 64) -> float:
     """Deterministic eval-mode loss over a fixed pair list (token-weighted)."""
+    batch_loss = _pair_loss(spec, smoothing, train=False)
     total, count = 0.0, 0
     for lo in range(0, len(encoded), batch_size):
         chunk = encoded[lo : lo + batch_size]
-        src, tgt_in, targets = pad_batch(chunk)
         tape = Tape()
-        tensors = {n: tape.constant(a) for n, a in weights.items()}
-        logits = build_forward(tape, spec, tensors, src, tgt_in, train=False, seed=0)
-        loss = label_smoothed_loss(logits, targets, LossConfig(smoothing=smoothing))
-        n = int((targets != PAD).sum())
+        loss = batch_loss(tape, {n: tape.constant(a) for n, a in weights.items()}, chunk, None, 0)
+        n = sum(len(p.tgt) + 1 for p in chunk)  # target tokens plus the end marker
         total += float(loss.value) * n
         count += n
         tape.release()
@@ -177,41 +212,19 @@ def train(spec: ModelSpec, weights: dict[str, np.ndarray], encoded: list[Encoded
     When ``stop_threshold`` is set, eval-mode loss over the training pairs
     is measured every ``check_every`` steps and training stops once it
     drops below the threshold; ``stopped_at`` records that step count.
+    ``log(step, loss)`` is called after every step.
     """
     if not encoded:
         raise ValueError("no training pairs")
     check_weights(spec, weights)
-    params = {n: a.copy() for n, a in weights.items()}
-    state = init_state(params)
-    ocfg = cfg.optimizer()
-    losses: list[float] = []
-    stopped_at = None
-    step = 0
-    epoch = 0
-    while step < cfg.steps and stopped_at is None:
-        rng = np.random.default_rng([cfg.seed, epoch])
-        for batch_ids in token_budget_batches(encoded, cfg.token_budget, rng):
-            arrays = pad_batch([encoded[i] for i in batch_ids])
-            tape = Tape()
-            tensors = {n: tape.leaf(a) for n, a in params.items()}
-            loss = _loss_on_batch(spec, tensors, tape, arrays, cfg.smoothing, True,
-                                  _mix_seed(cfg.seed, step))
-            tape.backward(loss)
-            grads = {n: tensors[n].grad for n in params}
-            tape.release()
-            params, state = novograd_step(params, grads, state, ocfg, poly_decay(step, ocfg))
-            losses.append(float(loss.value))
-            step += 1
-            if log is not None:
-                log(step, losses[-1])
-            if stop_threshold is not None and step % check_every == 0:
-                if evaluate_loss(spec, params, encoded, smoothing=cfg.smoothing) < stop_threshold:
-                    stopped_at = step
-                    break
-            if step >= cfg.steps:
-                break
-        epoch += 1
-    return TrainResult(params, state, losses, step, stopped_at)
+
+    def below_threshold(step, params):
+        return (step % check_every == 0
+                and evaluate_loss(spec, params, encoded, smoothing=cfg.smoothing) < stop_threshold)
+
+    return _run_steps({n: a.copy() for n, a in weights.items()}, encoded, cfg, (cfg.seed,),
+                      _pair_loss(spec, cfg.smoothing, train=True), log=log,
+                      stop=None if stop_threshold is None else below_threshold)
 
 
 def mask_tokens(ids: tuple[int, ...], rng: np.random.Generator, rate: float = 0.15):
@@ -237,48 +250,30 @@ def pretrain_encoder(spec: ModelSpec, sentences_ids: list[tuple[int, ...]], cfg:
 
     Returns encoder-side weights only, trained to predict masked tokens
     from context; this is the synthetic stand-in for a pretrained encoder.
+    Batches with nothing to mask (only end markers) are skipped.
     """
     if not sentences_ids:
         raise ValueError("no pretraining sentences")
     from .initialization import init_random
 
     full = init_random(spec, seed=cfg.seed)
-    enc_names = encoder_tensor_names(spec)
-    params = {n: full[n].copy() for n in enc_names}
-    state = init_state(params)
-    ocfg = cfg.optimizer()
-    losses: list[float] = []
-    encoded = [EncodedPair(tuple(s), ()) for s in sentences_ids]
-    step = 0
-    epoch = 0
-    while step < cfg.steps:
-        rng = np.random.default_rng([cfg.seed, 7, epoch])
-        for batch_ids in token_budget_batches(encoded, cfg.token_budget, rng):
-            rows = [encoded[i].src for i in batch_ids]
-            width = max(len(r) for r in rows)
-            src = np.full((len(rows), width), PAD, dtype=np.int64)
-            targets = np.full((len(rows), width), PAD, dtype=np.int64)
-            for i, row in enumerate(rows):
-                corrupted, t_row = mask_tokens(row, rng, mask_rate)
-                src[i, : len(row)] = corrupted
-                targets[i, : len(row)] = t_row
-            if int((targets != PAD).sum()) == 0:
-                continue
-            tape = Tape()
-            tensors = {n: tape.leaf(a) for n, a in params.items()}
-            logits = build_encoder_logits(tape, spec, tensors, src, train=True,
-                                          seed=_mix_seed(cfg.seed, step))
-            loss = label_smoothed_loss(logits, targets, LossConfig(smoothing=cfg.smoothing))
-            tape.backward(loss)
-            grads = {n: tensors[n].grad for n in params}
-            tape.release()
-            params, state = novograd_step(params, grads, state, ocfg, poly_decay(step, ocfg))
-            losses.append(float(loss.value))
-            step += 1
-            if step >= cfg.steps:
-                break
-        epoch += 1
-    return TrainResult(params, state, losses, step)
+
+    def batch_loss(tape, tensors, items, rng, seed):
+        width = max(len(p.src) for p in items)
+        src = np.full((len(items), width), PAD, dtype=np.int64)
+        targets = np.full((len(items), width), PAD, dtype=np.int64)
+        for i, p in enumerate(items):
+            corrupted, t_row = mask_tokens(p.src, rng, mask_rate)
+            src[i, : len(p.src)] = corrupted
+            targets[i, : len(p.src)] = t_row
+        if not (targets != PAD).any():
+            return None
+        logits = build_encoder_logits(tape, spec, tensors, src, train=True, seed=seed)
+        return label_smoothed_loss(logits, targets, LossConfig(smoothing=cfg.smoothing))
+
+    return _run_steps({n: full[n].copy() for n in encoder_tensor_names(spec)},
+                      [EncodedPair(tuple(s), ()) for s in sentences_ids], cfg, (cfg.seed, 7),
+                      batch_loss)
 
 
 def make_pretrained_checkpoint(spec: ModelSpec, vocab: Vocab, sentences, cfg: TrainConfig,
@@ -289,29 +284,19 @@ def make_pretrained_checkpoint(spec: ModelSpec, vocab: Vocab, sentences, cfg: Tr
         row = list(wp_encode(vocab, s))[: spec.max_len - 1] + [EOS]
         ids.append(tuple(row))
     result = pretrain_encoder(spec, ids, cfg, mask_rate)
-    meta = {dim: str(getattr(spec, dim)) for dim in ("L", "H", "A", "V", "max_len", "ffn_mult")}
-    meta["norm"] = "post"
+    meta = spec.to_meta()
     meta["vocab_sha1"] = vocab.content_hash()
     meta["pretrain_steps"] = str(result.steps_run)
     return ck.from_arrays(result.weights, meta=meta)
 
 
 def save_training_checkpoint(directory, spec: ModelSpec, weights: dict[str, np.ndarray],
-                             state=None, meta: dict[str, str] | None = None) -> None:
-    """Model weights plus (optionally) optimizer state in one store."""
-    all_meta = {dim: str(getattr(spec, dim)) for dim in ("L", "H", "A", "V", "max_len", "ffn_mult")}
-    all_meta["norm"] = "post"
-    all_meta.update(meta or {})
-    arrays = dict(weights)
-    if state is not None:
-        arrays.update(state_tensors(state))
-    ck.save(ck.from_arrays(arrays, meta=all_meta), directory)
+                             meta: dict[str, str] | None = None) -> None:
+    """Model weights with the spec and ``meta`` recorded in the manifest."""
+    ck.save(ck.from_arrays(weights, meta={**spec.to_meta(), **(meta or {})}), directory)
 
 
 def load_training_checkpoint(directory):
-    """Returns (meta, weights, optimizer state or None)."""
+    """Returns (meta, weights, spec); the spec is ``ModelSpec.from_meta(meta)``."""
     ckpt = ck.load(directory)
-    weights = {n: a for n, a in ckpt.tensors.items() if not n.startswith("optim.")}
-    optim_arrays = {n: a for n, a in ckpt.tensors.items() if n.startswith("optim.")}
-    state = state_from_tensors(optim_arrays) if optim_arrays else None
-    return ckpt.meta, weights, state
+    return ckpt.meta, ckpt.tensors, ModelSpec.from_meta(ckpt.meta)

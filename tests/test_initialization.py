@@ -85,6 +85,9 @@ class TestTransferEncoder:
         other = ModelSpec(L=2, H=16, A=2, P_drop=0.1, V=32, max_len=10)
         with pytest.raises(ValueError, match="A="):
             transfer_encoder(ckpt, other)
+        pre_norm = ck.Checkpoint(meta={**ckpt.meta, "norm": "pre"}, tensors=dict(ckpt.tensors))
+        with pytest.raises(ValueError, match="norm="):
+            transfer_encoder(pre_norm, SPEC)
 
     def test_missing_tensor(self, ckpt_dir):
         ckpt, _ = ckpt_dir

@@ -58,6 +58,14 @@ class TestSpec:
     def test_head_dim(self):
         assert SPEC.head_dim == 4
 
+    def test_meta_round_trip_drops_dropout(self):
+        spec = ModelSpec(L=2, H=8, A=2, P_drop=0.3, V=16, max_len=12, ffn_mult=2)
+        meta = spec.to_meta()
+        assert all(isinstance(v, str) for v in meta.values())
+        assert meta["norm"] == "post"
+        assert ModelSpec.from_meta(meta) == ModelSpec(L=2, H=8, A=2, P_drop=0.0, V=16,
+                                                      max_len=12, ffn_mult=2)
+
 
 class TestManifest:
     def test_core_names_present(self):

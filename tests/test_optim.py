@@ -13,8 +13,6 @@ from postasr.optim import (
     init_state,
     novograd_step,
     poly_decay,
-    state_from_tensors,
-    state_tensors,
 )
 
 CFG = OptimizerConfig(total_steps=100)
@@ -140,38 +138,6 @@ class TestConvergence:
         b = step_once(params, grads)
         assert a[0]["w"].tobytes() == b[0]["w"].tobytes()
         assert a[1].v == b[1].v
-
-
-class TestStateSerialization:
-    def test_round_trip(self):
-        params = {"w": np.zeros(3, dtype=np.float32), "b": np.zeros((2, 2), dtype=np.float32)}
-        grads = {"w": np.array([1.0, 2.0, 3.0]), "b": np.ones((2, 2))}
-        _, state = step_once(params, grads)
-        back = state_from_tensors(state_tensors(state))
-        assert back.step == state.step
-        assert set(back.m) == set(state.m)
-        for name in state.m:
-            np.testing.assert_allclose(back.m[name], state.m[name], rtol=1e-6)
-            assert back.v[name] == pytest.approx(state.v[name], rel=1e-6)
-
-    def test_missing_step_rejected(self):
-        with pytest.raises(ValueError, match="step"):
-            state_from_tensors({"optim.m.w": np.zeros(2)})
-
-    def test_resume_matches_uninterrupted(self):
-        params = {"w": np.array([0.5, -0.5], dtype=np.float64)}
-        state = init_state(params)
-        rng = np.random.default_rng(3)
-        grads = [{"w": rng.normal(size=2)} for _ in range(6)]
-        p_straight, s_straight = dict(params), state
-        for g in grads:
-            p_straight, s_straight = novograd_step(p_straight, g, s_straight, CFG, 0.001)
-        p_resume, s_resume = dict(params), state
-        for i, g in enumerate(grads):
-            if i == 3:
-                s_resume = state_from_tensors(state_tensors(s_resume))
-            p_resume, s_resume = novograd_step(p_resume, g, s_resume, CFG, 0.001)
-        np.testing.assert_allclose(p_resume["w"], p_straight["w"], rtol=1e-5)
 
 
 class TestConfig:

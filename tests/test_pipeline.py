@@ -154,11 +154,10 @@ class TestTrainAndCorrect:
         from postasr.training import load_training_checkpoint
 
         vocab = wp.Vocab.load(demo_dir / pl.VOCAB_FILE)
-        meta, weights, state = load_training_checkpoint(demo_dir / pl.CKPT_DIR)
+        meta, weights, spec = load_training_checkpoint(demo_dir / pl.CKPT_DIR)
         assert meta["vocab_sha1"] == vocab.content_hash()
         assert meta["init"] == "random/random"
-        assert int(meta["V"]) == len(vocab)
-        assert state is None
+        assert spec.V == len(vocab)
         for arr in weights.values():
             assert np.isfinite(arr).all()
 
@@ -228,7 +227,7 @@ class TestAblate:
     def test_tables_have_expected_cells(self, demo_dir):
         t1 = evalkit.AblationReport.parse_csv((demo_dir / pl.TABLE1_FILE).read_text())
         t2 = evalkit.AblationReport.parse_csv((demo_dir / pl.TABLE2_FILE).read_text())
-        assert [r[0] for r in t1.rows] == list(pl._VARIANTS)
+        assert [r[0] for r in t1.rows] == list(datagen.VARIANTS)
         assert [r[0] for r in t2.rows] == [c[0] for c in pl.INIT_CELLS]
         for _, dataset, value in t1.rows + t2.rows:
             assert dataset == "eval"

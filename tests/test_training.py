@@ -155,6 +155,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="pairs"):
             train(SPEC, init_random(SPEC), [], TrainConfig(steps=1))
 
+    def test_log_called_once_per_step(self):
+        calls = []
+        result = train(SPEC, init_random(SPEC, seed=6), toy_pairs(8, seed=7),
+                       TrainConfig(steps=7, token_budget=40, seed=2),
+                       log=lambda step, loss: calls.append((step, loss)))
+        assert calls == list(enumerate(result.losses, start=1))
+        assert len(calls) == result.steps_run == 7
+
 
 class TestMasking:
     def test_mask_properties(self):
@@ -185,6 +193,19 @@ class TestPretrain:
         tail = float(np.mean(result.losses[-10:]))
         assert tail < head
 
+    def test_unmaskable_batches_are_skipped(self):
+        # Length-sorted batching groups the end-marker-only rows into batches
+        # with no masked target; those must not count as steps.
+        sentences = [(EOS,)] * 12 + self.make_sentences(n=4, seed=1)
+        cfg = TrainConfig(steps=9, token_budget=8, seed=4)
+        result = pretrain_encoder(SPEC, sentences, cfg)
+        assert result.steps_run == len(result.losses) == cfg.steps
+        assert all(np.isfinite(result.losses))
+
+    def test_nothing_to_mask_rejected(self):
+        with pytest.raises(ValueError, match="skipped"):
+            pretrain_encoder(SPEC, [(EOS,)] * 5, TrainConfig(steps=3, token_budget=8))
+
     def test_checkpoint_is_transfer_compatible(self, tmp_path):
         corpus = ["the cat sat on the mat", "a dog ran off", "the cat ran home"] * 5
         vocab = build_vocab(corpus, target_size=48)
@@ -203,23 +224,22 @@ class TestPretrain:
 
 
 class TestCheckpointIO:
-    def test_round_trip_with_state(self, tmp_path):
+    def test_round_trip(self, tmp_path):
         encoded = toy_pairs(4, seed=6)
         weights = init_random(SPEC, seed=4)
         result = train(SPEC, weights, encoded, TrainConfig(steps=3, token_budget=256))
-        save_training_checkpoint(tmp_path / "t", SPEC, result.weights, result.state,
-                                 meta={"stage": "test"})
-        meta, back_w, back_s = load_training_checkpoint(tmp_path / "t")
+        save_training_checkpoint(tmp_path / "t", SPEC, result.weights, meta={"stage": "test"})
+        meta, back_w, spec = load_training_checkpoint(tmp_path / "t")
         assert meta["stage"] == "test"
         assert meta["H"] == str(SPEC.H)
+        assert spec == SPEC
         assert set(back_w) == set(result.weights)
         for n in back_w:
             assert back_w[n].tobytes() == result.weights[n].tobytes()
-        assert back_s.step == 3
 
     def test_weights_only(self, tmp_path):
         weights = init_random(SPEC, seed=5)
         save_training_checkpoint(tmp_path / "w", SPEC, weights)
-        _, back_w, back_s = load_training_checkpoint(tmp_path / "w")
-        assert back_s is None
+        meta, back_w, _ = load_training_checkpoint(tmp_path / "w")
+        assert meta == SPEC.to_meta()
         assert set(back_w) == set(weights)
