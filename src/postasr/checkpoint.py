@@ -48,9 +48,6 @@ class Checkpoint:
             raise KeyError(f"checkpoint has no tensor named {name!r}")
         return self.tensors[name]
 
-    def names(self) -> list[str]:
-        return list(self.tensors)
-
 
 def save(ckpt: Checkpoint, directory) -> None:
     os.makedirs(directory, exist_ok=True)

@@ -1,12 +1,12 @@
-"""CTC decoding over frame lattices: greedy collapse, prefix beam search
-with word-level language model fusion, and n-best rescoring.
+"""CTC decoding over frame lattices: greedy collapse and prefix beam search
+with word-level language model fusion.
 
 The beam search tracks label prefixes with separate log-masses for "ends in
 blank" and "ends in non-blank", so each prefix's acoustic score is the CTC
 marginal over all alignments the beam kept. With a beam at least as wide as
 the number of reachable prefixes the marginals are exact. The language
 model weighs in twice: completed words steer pruning while the search runs,
-and the final ranking rescores every surviving hypothesis from scratch as
+and the final ranking scores every surviving hypothesis again from scratch as
 
     fused = acoustic + lambda * lm(text) + bonus * word_count
 
@@ -16,13 +16,10 @@ so the reported decomposition is exact by construction.
 from __future__ import annotations
 
 import json
-import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 NEG_INF = -math.inf
 
@@ -73,15 +70,11 @@ class Hypothesis:
     acoustic: float
     lm_score: float
     fused: float
-    rescorer_score: float | None = None
 
 
 @dataclass(frozen=True)
 class NBestList:
     hypotheses: tuple[Hypothesis, ...]
-
-    def __len__(self) -> int:
-        return len(self.hypotheses)
 
     def top(self) -> Hypothesis:
         return self.hypotheses[0]
@@ -200,38 +193,8 @@ def fused_beam_search(lattice: FrameLattice, lm, cfg: FusionConfig) -> NBestList
     return NBestList(tuple(ranked[: cfg.width]))
 
 
-def rescore(nbest: NBestList, scorer, weight: float) -> NBestList:
-    """Re-rank by fused + weight * scorer(text); failing hypotheses drop out."""
-    out = []
-    for h in nbest.hypotheses:
-        try:
-            s = float(scorer(h.text))
-        except Exception as e:
-            log.warning("rescore: dropping %r: %s", h.text, e)
-            continue
-        if math.isnan(s):
-            log.warning("rescore: dropping %r: non-finite score", h.text)
-            continue
-        out.append(replace(h, rescorer_score=s))
-
-    def key(h):
-        bonus = weight * h.rescorer_score if weight else 0.0
-        return (-(h.fused + bonus), h.text)
-
-    out.sort(key=key)
-    return NBestList(tuple(out))
-
-
-def _score_json(x: float | None):
-    if x is None:
-        return None
+def _score_json(x: float):
     return "impossible" if x == NEG_INF else x
-
-
-def _score_of_json(x):
-    if x is None:
-        return None
-    return NEG_INF if x == "impossible" else float(x)
 
 
 def write_nbest_jsonl(path, utterances: list[NBestList]) -> None:
@@ -245,28 +208,8 @@ def write_nbest_jsonl(path, utterances: list[NBestList]) -> None:
                         "acoustic": _score_json(h.acoustic),
                         "lm": _score_json(h.lm_score),
                         "fused": _score_json(h.fused),
-                        "rescorer": _score_json(h.rescorer_score),
                     }
                     for h in nb.hypotheses
                 ]
             }
             f.write(json.dumps(row) + "\n")
-
-
-def read_nbest_jsonl(path) -> list[NBestList]:
-    out = []
-    with open(path) as f:
-        for line in f:
-            row = json.loads(line)
-            hyps = tuple(
-                Hypothesis(
-                    text=h["text"],
-                    acoustic=_score_of_json(h["acoustic"]),
-                    lm_score=_score_of_json(h["lm"]),
-                    fused=_score_of_json(h["fused"]),
-                    rescorer_score=_score_of_json(h["rescorer"]),
-                )
-                for h in row["nbest"]
-            )
-            out.append(NBestList(hyps))
-    return out

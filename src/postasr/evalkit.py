@@ -94,13 +94,6 @@ class Histogram:
             out.write(f"{lo:g},{hi:g},{c}\n")
         return out.getvalue()
 
-    def to_text(self) -> str:
-        lines = []
-        for k, c in enumerate(self.counts):
-            lo, hi = self.bin_range(k)
-            lines.append(f"[{lo:.2f}, {hi:.2f})  {c:6d}  {'#' * min(c, 60)}")
-        return "\n".join(lines) + "\n"
-
 
 def wer_histogram(pairs, bin_width: float) -> Histogram:
     """Sentence counts per WER bin [k*w, (k+1)*w) over (ref, hyp) pairs."""
@@ -133,16 +126,6 @@ class AblationReport:
         for label, dataset, w in self.rows:
             out.write(f"{label},{dataset},{w:.2f}\n")
         return out.getvalue()
-
-    def to_text(self) -> str:
-        head = ("system", "dataset", "WER")
-        cells = [(label, dataset, f"{w:.2f}") for label, dataset, w in self.rows]
-        widths = [max(len(r[i]) for r in [head] + cells) for i in range(3)]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(head, widths))]
-        lines.append("  ".join("-" * w for w in widths))
-        for r in cells:
-            lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
-        return "\n".join(lines) + "\n"
 
     @staticmethod
     def parse_csv(text: str) -> "AblationReport":

@@ -224,6 +224,17 @@ def _causal(tlen: int) -> np.ndarray:
     return m[None, None, :, :]
 
 
+def _encode(tape: Tape, spec: ModelSpec, t: dict[str, Tensor], src: np.ndarray, train: bool,
+            seeds: _Seeds) -> tuple[Tensor, np.ndarray]:
+    """Encoder stack over src (B, Ts): (memory, additive pad-key mask)."""
+    x = _embed(tape, spec, t, src, train, seeds)
+    src_keys = _pad_keys(src)
+    for l in range(spec.L):
+        x = _attention(tape, spec, t, f"encoder.{l}.self_attn", x, x, src_keys, train, seeds)
+        x = _ffn(tape, spec, t, f"encoder.{l}.ffn", x, train, seeds)
+    return x, src_keys
+
+
 def build_forward(tape: Tape, spec: ModelSpec, tensors: dict[str, Tensor], src: np.ndarray,
                   tgt: np.ndarray, train: bool, seed: int) -> Tensor:
     """Batched graph: src (B, Ts) and tgt prefix (B, Tt) -> logits (B, Tt, V).
@@ -233,13 +244,7 @@ def build_forward(tape: Tape, spec: ModelSpec, tensors: dict[str, Tensor], src: 
     """
     t = tensors
     seeds = _Seeds(seed)
-
-    x = _embed(tape, spec, t, src, train, seeds)
-    src_keys = _pad_keys(src)
-    for l in range(spec.L):
-        x = _attention(tape, spec, t, f"encoder.{l}.self_attn", x, x, src_keys, train, seeds)
-        x = _ffn(tape, spec, t, f"encoder.{l}.ffn", x, train, seeds)
-    memory = x
+    memory, src_keys = _encode(tape, spec, t, src, train, seeds)
 
     y = _embed(tape, spec, t, tgt, train, seeds)
     tgt_keys = _causal(tgt.shape[1]) + _pad_keys(tgt)
@@ -258,14 +263,8 @@ def build_encoder_logits(tape: Tape, spec: ModelSpec, tensors: dict[str, Tensor]
     This is the masked-token pretraining head; it touches only embedding and
     encoder tensors, so its weights line up with an encoder checkpoint.
     """
-    t = tensors
-    seeds = _Seeds(seed)
-    x = _embed(tape, spec, t, src, train, seeds)
-    src_keys = _pad_keys(src)
-    for l in range(spec.L):
-        x = _attention(tape, spec, t, f"encoder.{l}.self_attn", x, x, src_keys, train, seeds)
-        x = _ffn(tape, spec, t, f"encoder.{l}.ffn", x, train, seeds)
-    return nk.matmul(x, nk.transpose(t["embed.token"], (1, 0)))
+    x, _ = _encode(tape, spec, tensors, src, train, _Seeds(seed))
+    return nk.matmul(x, nk.transpose(tensors["embed.token"], (1, 0)))
 
 
 def forward(spec: ModelSpec, weights: dict[str, np.ndarray], src_ids, tgt_prefix_ids,
@@ -284,39 +283,27 @@ def forward(spec: ModelSpec, weights: dict[str, np.ndarray], src_ids, tgt_prefix
     return out
 
 
-def _smoothed_targets(targets: np.ndarray, v: int, cfg: LossConfig):
-    """Per-position mixed distribution q and the non-pad position count."""
+def label_smoothed_loss(logits: Tensor, targets, cfg: LossConfig = LossConfig()) -> Tensor:
+    """Mean over non-pad positions of the smoothed cross-entropy.
+
+    Shapes: (..., V) logits against (...) integer targets; returns a scalar
+    Tensor on the logits' tape.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    v = logits.shape[-1]
+    if logits.shape[:-1] != targets.shape:
+        raise ValueError(f"targets shape {targets.shape} does not match logits rows {logits.shape[:-1]}")
     if targets.size and (targets.min() < 0 or targets.max() >= v):
         raise ValueError(f"target id out of range for vocab size {v}")
     mask = targets != PAD
     n = int(mask.sum())
     if n == 0:
         raise ValueError("label_smoothed_loss: every position is padding")
+    # Per-position mixed distribution q, zero at pad positions.
     q = np.full(targets.shape + (v,), cfg.smoothing / v, dtype=np.float64)
     np.put_along_axis(q, targets[..., None], cfg.smoothing / v + (1.0 - cfg.smoothing), axis=-1)
-    return q * mask[..., None], n
-
-
-def label_smoothed_loss(logits, targets, cfg: LossConfig = LossConfig()):
-    """Mean over non-pad positions of the smoothed cross-entropy.
-
-    Accepts a Tensor (returns a scalar Tensor on its tape) or a plain array
-    (returns a float). Shapes: (..., V) logits against (...) integer targets.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
-    if isinstance(logits, Tensor):
-        if logits.shape[:-1] != targets.shape:
-            raise ValueError(f"targets shape {targets.shape} does not match logits rows {logits.shape[:-1]}")
-        q, n = _smoothed_targets(targets, logits.shape[-1], cfg)
-        coeff = logits.tape.constant(-q / n)
-        return nk.tensor_sum(nk.mul(nk.log_softmax(logits, axis=-1), coeff))
-    arr = np.asarray(logits, dtype=np.float64)
-    if arr.shape[:-1] != targets.shape:
-        raise ValueError(f"targets shape {targets.shape} does not match logits rows {arr.shape[:-1]}")
-    q, n = _smoothed_targets(targets, arr.shape[-1], cfg)
-    shifted = arr - arr.max(axis=-1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    return float(-(q * logp).sum() / n)
+    coeff = logits.tape.constant(-(q * mask[..., None]) / n)
+    return nk.tensor_sum(nk.mul(nk.log_softmax(logits, axis=-1), coeff))
 
 
 @dataclass(frozen=True)

@@ -56,59 +56,8 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.value.ndim
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.value.shape}, dtype={self.value.dtype})"
-
-    # -- operator sugar -------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return add_scalar(self, float(other))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return mul_scalar(self, -1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, mul_scalar(other, -1.0))
-        return add_scalar(self, -float(other))
-
-    def __rsub__(self, other):
-        return add_scalar(mul_scalar(self, -1.0), float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return mul_scalar(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not a primitive; use mul with a reciprocal constant")
-        return mul_scalar(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None):
-        return tensor_sum(self, axis=axis)
-
-    def mean(self, axis=None):
-        return tensor_mean(self, axis=axis)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
 
 class Tape:
@@ -338,18 +287,19 @@ def tensor_mean(a: Tensor, axis=None) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes.
 
-    Either both operands carry identical leading (batch) dimensions, or one
-    of them is a plain 2-d matrix applied across the other's batch.
+    A 2-d right operand is applied across every leading (batch) axis of the
+    left one; a batched right operand must carry exactly the left one's
+    batch axes.
     """
     tape = _same_tape(a, b)
     av, bv = a.value, b.value
     if av.ndim < 2 or bv.ndim < 2:
         raise ValueError(f"matmul requires ndim >= 2, got {av.shape} @ {bv.shape}")
-    if av.ndim > 2 and bv.ndim > 2 and av.shape[:-2] != bv.shape[:-2]:
+    if bv.ndim > 2 and av.shape[:-2] != bv.shape[:-2]:
         raise ValueError(f"matmul: batch dimensions differ, {av.shape} @ {bv.shape}")
     if av.shape[-1] != bv.shape[-2]:
         raise ValueError(f"matmul: inner dimensions differ, {av.shape} @ {bv.shape}")
-    if bv.ndim == 2 and av.ndim > 2:
+    if bv.ndim == 2:
         # Fold the batch axes into rows: one GEMM each way instead of one
         # small GEMM per batch row and a batched weight gradient to sum.
         a2 = av.reshape(-1, av.shape[-1])
@@ -362,11 +312,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return tape._make(out, (a, b), backward_folded)
 
     def backward(g):
-        ga = np.matmul(g, bv.swapaxes(-1, -2))
-        gb = np.matmul(av.swapaxes(-1, -2), g)
-        if ga.shape != av.shape:  # a 2-d left operand applied across b's batch
-            ga = ga.reshape((-1,) + av.shape).sum(axis=0, dtype=np.float64)
-        return (ga, gb)
+        return (np.matmul(g, bv.swapaxes(-1, -2)), np.matmul(av.swapaxes(-1, -2), g))
 
     return tape._make(np.matmul(av, bv), (a, b), backward)
 
@@ -374,20 +320,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 # -- fused neural-net primitives -------------------------------------------
 
 
-def _softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    if x.size == 0:
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Max-subtracted softmax along ``axis``."""
+    if x.value.size == 0:
         raise ValueError("softmax of an empty input")
-    shifted = x - x.max(axis=axis, keepdims=True)
+    shifted = x.value - x.value.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
-    denom = e.sum(axis=axis, keepdims=True, dtype=np.float64)
-    return (e / denom).astype(x.dtype)
-
-
-def softmax(x, axis: int = -1):
-    """Max-subtracted softmax along ``axis``; accepts a Tensor or an array."""
-    if not isinstance(x, Tensor):
-        return _softmax_np(np.asarray(x, dtype=np.float64), axis)
-    s = _softmax_np(x.value, axis)
+    s = (e / e.sum(axis=axis, keepdims=True, dtype=np.float64)).astype(x.value.dtype)
 
     def backward(g):
         dot = (g * s).sum(axis=axis, keepdims=True, dtype=np.float64)
@@ -411,32 +350,13 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return x.tape._make(out, (x,), backward)
 
 
-def _layer_norm_np(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float) -> np.ndarray:
-    x64 = x.astype(np.float64)
-    mu = x64.mean(axis=-1, keepdims=True)
-    var = x64.var(axis=-1, keepdims=True)
-    xhat = (x64 - mu) / np.sqrt(var + eps)
-    return (xhat * gain + bias).astype(x.dtype)
-
-
-def layer_norm(x, gain, bias, eps: float = 1e-5):
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale/shift.
 
-    ``gain`` and ``bias`` are vectors matching the last dimension. Accepts
-    Tensors or plain arrays (all three must agree in kind).
+    ``gain`` and ``bias`` are vectors matching the last dimension.
     """
     if eps <= 0:
         raise ValueError("layer_norm: eps must be > 0")
-    if not isinstance(x, Tensor):
-        x_arr = np.asarray(x, dtype=np.float64)
-        g_arr = np.asarray(gain, dtype=np.float64)
-        b_arr = np.asarray(bias, dtype=np.float64)
-        if g_arr.shape != x_arr.shape[-1:] or b_arr.shape != x_arr.shape[-1:]:
-            raise ValueError(
-                f"layer_norm: gain/bias shapes {g_arr.shape}/{b_arr.shape} do not match last dim of {x_arr.shape}"
-            )
-        return _layer_norm_np(x_arr, g_arr, b_arr, eps)
-
     tape = _same_tape(x, gain, bias)
     d = x.value.shape[-1:]
     if gain.value.shape != d or bias.value.shape != d:

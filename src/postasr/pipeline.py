@@ -274,15 +274,34 @@ def read_manifest(out_dir) -> list[dict]:
         return [json.loads(line) for line in f if line.strip()]
 
 
+def _lock_holder_is_dead(path: Path) -> bool:
+    """True only when the lock file names a PID that no longer runs."""
+    try:
+        os.kill(int(path.read_text()), 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):  # not ours to signal, or unreadable
+        pass
+    return False
+
+
 @contextmanager
 def directory_lock(out_dir):
-    """One writer per output directory; the lock file names the holder."""
+    """One writer per output directory; the lock file names the holder.
+
+    A lock left by a killed run (its PID no longer runs) is removed and the
+    lock taken once more; any other existing lock refuses the directory.
+    """
     path = Path(out_dir) / LOCK_FILE
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise LockError(f"output directory {out_dir} is locked by another run "
-                        f"(remove {path} if that run is dead)")
+    for attempt in range(2):
+        try:
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if attempt or not _lock_holder_is_dead(path):
+                raise LockError(f"output directory {out_dir} is locked by another run "
+                                f"(the PID in {path} is running or unreadable)") from None
+            path.unlink(missing_ok=True)
     try:
         os.write(fd, f"{os.getpid()}\n".encode())
         os.close(fd)
@@ -416,18 +435,29 @@ def _lm_fit(cfg: dict, out_dir: Path) -> StageResult:
 
 
 def _ensure_pretrained(cfg: dict, out_dir: Path, spec: ModelSpec,
-                       vocab: wp.Vocab) -> tuple[Path, bool]:
-    """Reuse an existing synthesized-pretraining checkpoint or create one."""
+                       vocab: wp.Vocab) -> tuple[Path, tuple[str, ...], tuple[str, ...]]:
+    """Reuse an existing synthesized-pretraining checkpoint or create one.
+
+    Returns the checkpoint path and the manifest entries it adds: a reused
+    checkpoint is an input; a created one is an output made from the corpus.
+    """
     from .corpus import load_corpus
 
     path = out_dir / PRETRAINED_DIR
     if (path / ck.MANIFEST_NAME).exists():
-        return path, False
+        return path, (PRETRAINED_DIR,), ()
     sentences = load_corpus(_require(out_dir, CORPUS_FILE))
     pre_cfg = _train_config(cfg, cfg["train"]["pretrain_steps"])
     ckpt = make_pretrained_checkpoint(spec, vocab, sentences, pre_cfg)
     ck.save(ckpt, path)
-    return path, True
+    return path, (CORPUS_FILE,), (PRETRAINED_DIR,)
+
+
+def _init_plan(cfg: dict, enc_src: str, dec_src: str, ckpt_path: Path | None) -> InitPlan:
+    return InitPlan(encoder_source=enc_src, decoder_source=dec_src,
+                    checkpoint_path=None if ckpt_path is None else str(ckpt_path),
+                    seed=cfg["seed"],
+                    duplicate_cross_attention=cfg["train"]["duplicate_cross_attention"])
 
 
 def _train_stage(cfg: dict, out_dir: Path) -> StageResult:
@@ -441,18 +471,13 @@ def _train_stage(cfg: dict, out_dir: Path) -> StageResult:
 
     enc_src = cfg["train"]["encoder_init"]
     dec_src = cfg["train"]["decoder_init"]
-    inputs = [VOCAB_FILE, PAIRS_FILE]
-    outputs = [CKPT_DIR]
+    inputs = (VOCAB_FILE, PAIRS_FILE)
+    outputs = (CKPT_DIR,)
     ckpt_path = None
     if "pretrained" in (enc_src, dec_src):
-        ckpt_path, created = _ensure_pretrained(cfg, out_dir, spec, vocab)
-        (outputs if created else inputs).append(PRETRAINED_DIR)
-        if created:
-            inputs.append(CORPUS_FILE)
-    plan = InitPlan(encoder_source=enc_src, decoder_source=dec_src,
-                    checkpoint_path=None if ckpt_path is None else str(ckpt_path),
-                    seed=cfg["seed"],
-                    duplicate_cross_attention=cfg["train"]["duplicate_cross_attention"])
+        ckpt_path, pre_in, pre_out = _ensure_pretrained(cfg, out_dir, spec, vocab)
+        inputs, outputs = inputs + pre_in, outputs + pre_out
+    plan = _init_plan(cfg, enc_src, dec_src, ckpt_path)
     try:
         init = build_weights(spec, plan, vocab_hash=vocab.content_hash())
     except ValueError as e:
@@ -471,7 +496,7 @@ def _train_stage(cfg: dict, out_dir: Path) -> StageResult:
         notes["random_fallback"] = sorted(n for n, s in init.sources.items() if s == "random")
     summary = {"pairs": len(train_pairs), "steps": result.steps_run,
                "final_loss": round(float(result.losses[-1]), 6)}
-    return StageResult(summary, inputs=tuple(inputs), outputs=tuple(outputs), notes=notes)
+    return StageResult(summary, inputs=inputs, outputs=outputs, notes=notes)
 
 
 _spec_from_meta = ModelSpec.from_meta  # the name the benchmark calls
@@ -568,26 +593,18 @@ def _ablate_stage(cfg: dict, out_dir: Path) -> StageResult:
 
     runs1 = []
     for label in datagen.VARIANTS:
-        loss, scored = fit_and_score(InitPlan(seed=cfg["seed"]),
+        loss, scored = fit_and_score(_init_plan(cfg, "random", "random", None),
                                      datagen.variant(pairs, label, dg))
         losses[f"data:{label}"] = round(loss, 6)
         runs1.append((label, "eval", scored))
     table1 = evalkit.ablation_report(runs1)
     (out_dir / TABLE1_FILE).write_text(table1.to_csv())
 
-    inputs = [VOCAB_FILE, PAIRS_FILE, EVAL_PAIRS_FILE]
-    outputs = [TABLE1_FILE, TABLE2_FILE]
-    ckpt_path, created = _ensure_pretrained(cfg, out_dir, spec, vocab)
-    (outputs if created else inputs).append(PRETRAINED_DIR)
-    if created:
-        inputs.append(CORPUS_FILE)
-
+    ckpt_path, pre_in, pre_out = _ensure_pretrained(cfg, out_dir, spec, vocab)
     cell_pairs = datagen.variant(pairs, cfg["ablate"]["variant"], dg)
     runs2 = []
     for label, enc_src, dec_src in INIT_CELLS:
-        plan = InitPlan(encoder_source=enc_src, decoder_source=dec_src,
-                        checkpoint_path=str(ckpt_path), seed=cfg["seed"],
-                        duplicate_cross_attention=cfg["train"]["duplicate_cross_attention"])
+        plan = _init_plan(cfg, enc_src, dec_src, ckpt_path)
         loss, scored = fit_and_score(plan, cell_pairs)
         losses[f"init:{label}"] = round(loss, 6)
         runs2.append((label, "eval", scored))
@@ -598,7 +615,8 @@ def _ablate_stage(cfg: dict, out_dir: Path) -> StageResult:
         "table1": {label: w for label, _, w in table1.rows},
         "table2": {label: w for label, _, w in table2.rows},
     }
-    return StageResult(summary, inputs=tuple(inputs), outputs=tuple(outputs),
+    return StageResult(summary, inputs=(VOCAB_FILE, PAIRS_FILE, EVAL_PAIRS_FILE) + pre_in,
+                       outputs=(TABLE1_FILE, TABLE2_FILE) + pre_out,
                        notes={"final_losses": losses})
 
 

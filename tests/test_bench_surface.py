@@ -1,14 +1,17 @@
-"""The benchmark's traced run wraps package functions by name.
+"""The benchmark's view of the package, checked without running it.
 
-``perfbench/layers.py`` looks each one up on its module; this test fails as
-soon as a refactor deletes or renames one of them, without running the
-benchmark itself.
+``perfbench/layers.py`` looks functions up by name on their modules, and
+``perfbench/oracle.py`` checks ``model.correct`` against ``model.forward``;
+a refactor that breaks either fails here instead of as a failed benchmark.
 """
 
 import importlib.util
 from pathlib import Path
 
-from postasr import training
+import pytest
+
+from postasr import model, training
+from postasr.initialization import init_random
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -30,3 +33,15 @@ def test_every_traced_function_exists_and_is_restored():
     finally:
         tracer.undo()
     assert (training.novograd_step, training.pad_batch, training.wp_encode) == original
+
+
+@pytest.mark.parametrize("src", [(4, 7, 9, 5, 2), (3,), (11, 10, 9, 8, 7, 6, 5)])
+def test_correct_passes_the_benchmark_oracle(src):
+    oracle = _load("oracle")
+    spec = model.ModelSpec(L=1, H=16, A=2, P_drop=0.0, V=12, max_len=12)
+    weights = init_random(spec, std=0.5, seed=3)
+    cap = 8
+    w1 = model.correct(spec, weights, src, width=1, max_out=cap)
+    w4 = model.correct(spec, weights, src, width=4, max_out=cap)
+    assert oracle.greedy_problems(spec, weights, src, cap, w1) == []
+    assert oracle.beam_problems(spec, weights, src, cap, w4) == []

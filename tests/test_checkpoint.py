@@ -22,8 +22,8 @@ class TestRoundTrip:
         ck.save(ckpt, tmp_path / "c")
         back = ck.load(tmp_path / "c")
         assert back.meta == ckpt.meta
-        assert back.names() == ckpt.names()
-        for name in ckpt.names():
+        assert list(back.tensors) == list(ckpt.tensors)
+        for name in ckpt.tensors:
             a, b = ckpt.get(name), back.get(name)
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
@@ -97,5 +97,5 @@ class TestValidation:
 def test_from_arrays_preserves_order():
     arrays = {"b": np.zeros(2), "a": np.ones(3)}
     ckpt = ck.from_arrays(arrays, meta={"k": "v"})
-    assert ckpt.names() == ["b", "a"]
+    assert list(ckpt.tensors) == ["b", "a"]
     assert ckpt.meta == {"k": "v"}

@@ -1,6 +1,7 @@
 """Exit codes, flag handling, and printed output of the command line."""
 
 import json
+import os
 
 import pytest
 
@@ -84,7 +85,7 @@ def test_absent_config_file_exits_4(tmp_path, capsys):
 
 
 def test_locked_dir_exits_1(tmp_path, micro_cfg_file, capsys):
-    (tmp_path / pl.LOCK_FILE).write_text("7\n")
+    (tmp_path / pl.LOCK_FILE).write_text(f"{os.getpid()}\n")
     code = main(["gen-data", "--scale", "tiny", "--config", micro_cfg_file,
                  "--out-dir", str(tmp_path)])
     assert code == 1

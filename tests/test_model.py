@@ -178,60 +178,73 @@ class TestForward:
             forward(SPEC, WEIGHTS, [4], [BOS], mode="predict")
 
 
+def loss64(logits, targets, cfg=LossConfig()):
+    """label_smoothed_loss of fixed logits on a float64 tape, as a float."""
+    return float(label_smoothed_loss(Tape(np.float64).constant(logits), targets, cfg).value)
+
+
 class TestLoss:
     def test_uniform_logits_give_log_v(self):
         for eps in (0.0, 0.1, 0.5):
             logits = np.zeros((3, 7))
-            loss = label_smoothed_loss(logits, [1, 2, 3], LossConfig(smoothing=eps))
+            loss = loss64(logits, [1, 2, 3], LossConfig(smoothing=eps))
             assert loss == pytest.approx(math.log(7), rel=1e-9)
 
     def test_perfect_prediction_no_smoothing(self):
         logits = np.full((2, 4), -1e9)
         logits[0, 2] = 0.0
         logits[1, 1] = 0.0
-        loss = label_smoothed_loss(logits, [2, 1], LossConfig(smoothing=0.0))
+        loss = loss64(logits, [2, 1], LossConfig(smoothing=0.0))
         assert loss == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_v4(self):
-        loss = label_smoothed_loss(np.zeros((1, 4)), [2], LossConfig(smoothing=0.1))
+        loss = loss64(np.zeros((1, 4)), [2], LossConfig(smoothing=0.1))
         assert loss == pytest.approx(1.3863, abs=5e-5)
 
     def test_pad_positions_ignored(self):
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(4, 8))
-        base = label_smoothed_loss(logits[:2], [4, 5])
+        base = loss64(logits[:2], [4, 5])
         noisy = logits.copy()
-        padded = label_smoothed_loss(noisy, [4, 5, PAD, PAD])
+        padded = loss64(noisy, [4, 5, PAD, PAD])
         assert padded == pytest.approx(base, rel=1e-12)
 
     def test_all_pad_error(self):
         with pytest.raises(ValueError, match="padding"):
-            label_smoothed_loss(np.zeros((2, 4)), [PAD, PAD])
+            loss64(np.zeros((2, 4)), [PAD, PAD])
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="match"):
-            label_smoothed_loss(np.zeros((2, 4)), [1, 2, 3])
+            loss64(np.zeros((2, 4)), [1, 2, 3])
 
     def test_tensor_path_matches_array_path(self, rng):
+        """The float32-tape loss against the smoothed cross-entropy written
+        out in float64 numpy."""
         logits_val = rng.normal(size=(2, 3, 9)).astype(np.float32)
         targets = np.array([[4, 5, PAD], [6, 7, 8]])
-        tape = Tape()
-        t_loss = label_smoothed_loss(tape.constant(logits_val), targets)
-        a_loss = label_smoothed_loss(logits_val, targets)
-        assert float(t_loss.value) == pytest.approx(a_loss, rel=1e-6)
+        eps, v = LossConfig().smoothing, logits_val.shape[-1]
+        x = logits_val.astype(np.float64)
+        logp = x - x.max(axis=-1, keepdims=True)
+        logp -= np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+        q = np.full(logp.shape, eps / v)
+        np.put_along_axis(q, targets[..., None], eps / v + 1.0 - eps, axis=-1)
+        keep = targets != PAD
+        want = -(q * logp).sum(axis=-1)[keep].mean()
+        t_loss = label_smoothed_loss(Tape().constant(logits_val), targets)
+        assert float(t_loss.value) == pytest.approx(want, rel=1e-6)
 
     def test_batched_equals_mean_of_rows(self, rng):
         logits = rng.normal(size=(2, 2, 5))
         targets = np.array([[1, 2], [3, 4]])
-        whole = label_smoothed_loss(logits, targets)
-        rows = [label_smoothed_loss(logits[i], targets[i]) for i in range(2)]
+        whole = loss64(logits, targets)
+        rows = [loss64(logits[i], targets[i]) for i in range(2)]
         assert whole == pytest.approx(np.mean(rows), rel=1e-12)
 
     def test_nonnegative(self, rng):
         for _ in range(20):
             logits = rng.normal(size=(3, 6))
             targets = rng.integers(1, 6, size=3)
-            assert label_smoothed_loss(logits, targets) >= 0.0
+            assert loss64(logits, targets) >= 0.0
 
 
 class TestGradientFlow:

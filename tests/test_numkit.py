@@ -10,30 +10,39 @@ from conftest import finite_difference_check
 
 
 def scalar_loss(t):
-    return t if t.value.shape == () else t.sum()
+    return t if t.value.shape == () else numkit.tensor_sum(t)
+
+
+def softmax64(x):
+    return numkit.softmax(Tape(np.float64).constant(x)).value
+
+
+def layer_norm64(x, gain, bias):
+    tape = Tape(np.float64)
+    return numkit.layer_norm(tape.constant(x), tape.constant(gain), tape.constant(bias)).value
 
 
 class TestSoftmax:
     def test_symmetry(self):
-        assert np.allclose(numkit.softmax(np.array([0.0, 0.0])), [0.5, 0.5])
+        assert np.allclose(softmax64(np.array([0.0, 0.0])), [0.5, 0.5])
 
     def test_hand_value(self):
-        out = numkit.softmax(np.array([np.log(2.0), 0.0]))
+        out = softmax64(np.array([np.log(2.0), 0.0]))
         assert np.allclose(out, [2 / 3, 1 / 3])
 
     def test_large_logits_stable(self):
-        out = numkit.softmax(np.array([1000.0, 0.0]))
+        out = softmax64(np.array([1000.0, 0.0]))
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(1.0)
         assert out[1] == pytest.approx(0.0, abs=1e-30)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            numkit.softmax(np.array([]))
+            softmax64(np.array([]))
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
     def test_normalized(self, scores):
-        out = numkit.softmax(np.array(scores))
+        out = softmax64(np.array(scores))
         assert np.all(out >= 0)
         assert abs(out.sum() - 1.0) < 1e-6
 
@@ -41,20 +50,20 @@ class TestSoftmax:
 class TestLayerNorm:
     def test_constant_input_collapses_to_bias(self):
         v = np.ones(3)
-        out = numkit.layer_norm(v, np.ones(3), np.zeros(3))
+        out = layer_norm64(v, np.ones(3), np.zeros(3))
         assert np.allclose(out, 0.0)
 
     def test_hand_value(self):
-        out = numkit.layer_norm(np.array([0.0, 2.0]), np.ones(2), np.zeros(2))
+        out = layer_norm64(np.array([0.0, 2.0]), np.ones(2), np.zeros(2))
         assert np.allclose(out, [-1.0, 1.0], atol=1e-5)
 
     def test_affine(self):
-        out = numkit.layer_norm(np.array([0.0, 2.0]), np.array([3.0, 3.0]), np.array([5.0, 5.0]))
+        out = layer_norm64(np.array([0.0, 2.0]), np.array([3.0, 3.0]), np.array([5.0, 5.0]))
         assert np.allclose(out, [2.0, 8.0], atol=1e-4)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            numkit.layer_norm(np.zeros(3), np.ones(2), np.zeros(2))
+            layer_norm64(np.zeros(3), np.ones(2), np.zeros(2))
 
     @given(st.lists(st.floats(-10, 10), min_size=2, max_size=16))
     def test_standardizes(self, vals):
@@ -63,7 +72,7 @@ class TestLayerNorm:
         # var / (var + eps), which stays within 1e-2 of 1 only from std 0.032.
         if v.std() < 0.05:
             return
-        out = numkit.layer_norm(v, np.ones(len(vals)), np.zeros(len(vals)))
+        out = layer_norm64(v, np.ones(len(vals)), np.zeros(len(vals)))
         assert abs(out.mean()) < 1e-5
         assert abs(out.var() - 1.0) < 1e-2
 
@@ -72,13 +81,13 @@ class TestBackwardExamples:
     def test_sum_gradient_is_ones(self):
         tape = Tape()
         v = tape.leaf([1.0, -2.0, 3.5])
-        tape.backward(v.sum())
+        tape.backward(numkit.tensor_sum(v))
         assert np.array_equal(v.grad, np.ones(3, dtype=np.float32))
 
     def test_dot_gradient(self):
         tape = Tape()
         v = tape.leaf([1.0, 2.0])
-        loss = (v * v).sum()
+        loss = numkit.tensor_sum(numkit.mul(v, v))
         tape.backward(loss)
         assert np.allclose(v.grad, [2.0, 4.0])
 
@@ -86,7 +95,7 @@ class TestBackwardExamples:
         tape = Tape()
         logits = tape.leaf([0.0, 0.0])
         logp = numkit.log_softmax(logits)
-        loss = -(logp * tape.constant([1.0, 0.0])).sum()
+        loss = numkit.mul_scalar(numkit.tensor_sum(numkit.mul(logp, tape.constant([1.0, 0.0]))), -1.0)
         tape.backward(loss)
         assert np.allclose(logits.grad, [-0.5, 0.5])
 
@@ -99,7 +108,7 @@ class TestBackwardExamples:
     def test_grad_accumulates_over_fanout(self):
         tape = Tape()
         v = tape.leaf([1.0, 2.0])
-        loss = (v + v).sum()
+        loss = numkit.tensor_sum(numkit.add(v, v))
         tape.backward(loss)
         assert np.allclose(v.grad, [2.0, 2.0])
 
@@ -133,12 +142,19 @@ class TestShapeDiscipline:
         with pytest.raises(ValueError):
             numkit.matmul(a, b)
 
+    def test_matmul_2d_lhs_against_batched_rhs_rejected(self):
+        tape = Tape()
+        a = tape.leaf(np.zeros((3, 4)))
+        b = tape.leaf(np.zeros((2, 4, 5)))
+        with pytest.raises(ValueError, match="batch"):
+            numkit.matmul(a, b)
+
     def test_explicit_broadcast(self):
         tape = Tape()
         a = tape.leaf(np.array([[1.0, 2.0]]))
         out = numkit.broadcast_to(a, (3, 2))
         assert out.value.shape == (3, 2)
-        tape.backward(out.sum())
+        tape.backward(numkit.tensor_sum(out))
         assert np.allclose(a.grad, [[3.0, 3.0]])
 
 
@@ -207,12 +223,12 @@ FD_CASES = {
         [np.random.default_rng(13).normal(size=(4, 3))],
     ),
     "exp_log_mean": (
-        lambda t, ls: numkit.log(numkit.exp(ls[0]).mean()).sum(),
+        lambda t, ls: numkit.tensor_sum(numkit.log(numkit.tensor_mean(numkit.exp(ls[0])))),
         [np.random.default_rng(14).normal(size=(5,))],
     ),
     "broadcast_bias": (
         lambda t, ls: scalar_loss(
-            numkit.add(numkit.matmul(ls[0], ls[1]), numkit.broadcast_to(ls[2].reshape((1, 2)), (3, 2)))
+            numkit.add(numkit.matmul(ls[0], ls[1]), numkit.broadcast_to(numkit.reshape(ls[2], (1, 2)), (3, 2)))
         ),
         [
             np.random.default_rng(15).normal(size=(3, 4)),
@@ -221,7 +237,7 @@ FD_CASES = {
         ],
     ),
     "transpose_mix": (
-        lambda t, ls: scalar_loss(numkit.matmul(ls[0].transpose((1, 0)), ls[1])),
+        lambda t, ls: scalar_loss(numkit.matmul(numkit.transpose(ls[0], (1, 0)), ls[1])),
         [np.random.default_rng(18).normal(size=(4, 3)), np.random.default_rng(19).normal(size=(4, 2))],
     ),
     "embedding": (
@@ -229,7 +245,7 @@ FD_CASES = {
         [np.random.default_rng(20).normal(size=(4, 3))],
     ),
     "mean_axis": (
-        lambda t, ls: scalar_loss(numkit.mul(ls[0].mean(axis=1), ls[1])),
+        lambda t, ls: scalar_loss(numkit.mul(numkit.tensor_mean(ls[0], axis=1), ls[1])),
         [np.random.default_rng(21).normal(size=(3, 5)), np.random.default_rng(22).normal(size=(3,))],
     ),
 }
@@ -258,7 +274,7 @@ def test_random_composite_graph_gradients(seed):
         h = numkit.matmul(ls[0], ls[1])
         h = numkit.gelu(h)
         h = numkit.layer_norm(h, ls[2], ls[3], eps=1e-2)
-        return numkit.log_softmax(h).mean()
+        return numkit.tensor_mean(numkit.log_softmax(h))
 
     # Small step plus a tame eps: gelu can flatten a random tiny row to
     # near-zero variance, and next to layer_norm's cusp the fd truncation
@@ -279,7 +295,7 @@ def test_embedding_gradient_matches_add_at_bit_for_bit(dtype, ids):
     table = tape.leaf(rng.normal(size=(9, 5)))
     out = numkit.embedding(table, ids)
     weight = rng.normal(size=out.shape).astype(dtype)
-    tape.backward(numkit.mul(out, tape.constant(weight)).sum())
+    tape.backward(numkit.tensor_sum(numkit.mul(out, tape.constant(weight))))
     want = np.zeros((9, 5), dtype=np.float64)
     np.add.at(want, ids.reshape(-1), weight.reshape(-1, 5))
     assert table.grad.dtype == dtype
@@ -293,7 +309,7 @@ def test_gelu_float32_matches_float64_reference():
         tape = Tape(dtype)
         leaf = tape.leaf(x)
         y = numkit.gelu(leaf)
-        tape.backward(y.sum())
+        tape.backward(numkit.tensor_sum(y))
         assert y.value.dtype == dtype and leaf.grad.dtype == dtype
         return y.value, leaf.grad
 
@@ -314,7 +330,7 @@ def test_matmul_2d_rhs_matches_batched_numpy(lead):
     tape = Tape()
     la, lb = tape.leaf(a), tape.leaf(b)
     out = numkit.matmul(la, lb)
-    tape.backward(numkit.mul(out, tape.constant(w)).sum())
+    tape.backward(numkit.tensor_sum(numkit.mul(out, tape.constant(w))))
     want_ga = np.matmul(w, b.T)
     want_gb = np.matmul(a.swapaxes(-1, -2), w).reshape(-1, 7, 3).sum(axis=0, dtype=np.float64)
     for got, want in [(out.value, np.matmul(a, b)), (la.grad, want_ga), (lb.grad, want_gb)]:
@@ -326,7 +342,7 @@ def test_dropout_gradient_uses_same_mask():
     tape = Tape()
     x = tape.leaf(np.ones((8, 8)))
     out = numkit.dropout(x, 0.5, seed=11, train=True)
-    tape.backward(out.sum())
+    tape.backward(numkit.tensor_sum(out))
     assert np.array_equal((x.grad > 0), (out.value > 0))
 
 
@@ -335,7 +351,7 @@ def test_reduction_accumulates_in_float64():
     n = 1 << 24
     tape = Tape()
     x = tape.leaf(np.ones(n + 8, dtype=np.float32))
-    assert float(x.sum().value) == n + 8
+    assert float(numkit.tensor_sum(x).value) == n + 8
 
 
 def test_cross_tape_operands_rejected():
@@ -348,7 +364,7 @@ def test_cross_tape_operands_rejected():
 def test_release_keeps_extracted_data_and_blocks_reuse():
     tape = Tape()
     x = tape.leaf(np.array([1.0, 2.0]))
-    y = (x * 3.0).sum()
+    y = numkit.tensor_sum(numkit.mul_scalar(x, 3.0))
     tape.backward(y)
     val, grad = float(y.value), x.grad.copy()
     tape.release()
@@ -365,7 +381,7 @@ def test_release_keeps_extracted_data_and_blocks_reuse():
 def test_release_drops_graph_references():
     tape = Tape()
     x = tape.leaf(np.ones(4))
-    y = x * 2.0
+    y = numkit.mul_scalar(x, 2.0)
     tape.release()
     assert tape.leaves == [] and tape._records == []
     assert np.array_equal(y.value, np.full(4, 2.0))
