@@ -12,9 +12,8 @@ transcript), so corruption is a pure function of its inputs.
 from __future__ import annotations
 
 import json
-import math
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -205,12 +204,15 @@ def channel_wer(cfg: ChannelConfig, corpus) -> float:
     return rate
 
 
-def calibrate_strength(cfg: ChannelConfig, corpus, target: float, lo: float = 0.1, hi: float = 8.0, steps: int = 24) -> ChannelConfig:
-    """Bisect dropout_strength until the corpus WER of corrupt() meets the
-    target (in expectation over the fixed seeds; WER is monotone in strength
-    only on average, so the result is approximate but deterministic)."""
+def calibrate_strength(cfg: ChannelConfig, corpus, target: float) -> ChannelConfig:
+    """Bisect dropout_strength over [0.1, 8.0] in 24 steps until the corpus
+    WER of corrupt() meets the target (in expectation over the fixed seeds;
+    WER is monotone in strength only on average, so the result is
+    approximate but deterministic). The dropout_strength of ``cfg`` is not
+    read."""
     corpus = list(corpus)
-    for _ in range(steps):
+    lo, hi = 0.1, 8.0
+    for _ in range(24):
         mid = (lo + hi) / 2
         got = channel_wer(replace(cfg, dropout_strength=mid), corpus)
         if got < target:

@@ -3,9 +3,9 @@
 Every clean sentence is corrupted by the channel assigned to its fold (the
 stand-in for an acoustic model trained without that fold). Each sentence
 gets one base round, ``n_dropout_rounds`` noisier rounds with distinct
-seeds, and one cutout round when enabled. Pairs carry their round tag so
-dataset variants (base / +dropout / +cutout / +both) can be sliced back out
-of one generation run.
+seeds, and one cutout round. Pairs carry their round tag so dataset
+variants (base / +dropout / +cutout / +both) can be sliced back out of one
+generation run.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ class DataGenConfig:
     folds: int = 10
     n_dropout_rounds: int = 3
     dropout_boost: float = 2.0
-    cutout: bool = False
     cutout_rate: float = 0.03
     wer_max: float = 0.5
-    dedup: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -81,12 +79,11 @@ def _rounds(cfg: DataGenConfig, fold_cfg: ChannelConfig):
             dropout_strength=fold_cfg.dropout_strength * cfg.dropout_boost,
             seed=fold_cfg.seed + _DROPOUT_SEED_STRIDE * (i + 1),
         )
-    if cfg.cutout:
-        yield TAG_CUTOUT, replace(
-            fold_cfg,
-            cutout_rate=cfg.cutout_rate,
-            seed=fold_cfg.seed + _CUTOUT_SEED_OFFSET,
-        )
+    yield TAG_CUTOUT, replace(
+        fold_cfg,
+        cutout_rate=cfg.cutout_rate,
+        seed=fold_cfg.seed + _CUTOUT_SEED_OFFSET,
+    )
 
 
 def generate(corpus, cfg: DataGenConfig, fold_channels: list[ChannelConfig]) -> list[ParallelPair]:
@@ -113,7 +110,7 @@ def generate(corpus, cfg: DataGenConfig, fold_channels: list[ChannelConfig]) -> 
     return pairs
 
 
-def filter_dedup(pairs, wer_max: float, dedup: bool) -> list[ParallelPair]:
+def filter_dedup(pairs, wer_max: float) -> list[ParallelPair]:
     """Drop pairs with WER strictly above the cap, then collapse exact
     (source, target) duplicates keeping the first; order otherwise stable."""
     out = []
@@ -122,10 +119,9 @@ def filter_dedup(pairs, wer_max: float, dedup: bool) -> list[ParallelPair]:
         if p.wer > wer_max:
             continue
         key = (p.source, p.target)
-        if dedup:
-            if key in seen:
-                continue
-            seen.add(key)
+        if key in seen:
+            continue
+        seen.add(key)
         out.append(p)
     return out
 
@@ -135,7 +131,7 @@ VARIANTS = ("base", "+dropout", "+cutout", "+both")
 
 def variant(pairs, which: str, cfg: DataGenConfig) -> list[ParallelPair]:
     """Slice one generation run into a named dataset variant, then apply the
-    configured filter and dedup."""
+    WER filter and dedup."""
     if which == "base":
         keep = lambda tag: tag == TAG_BASE
     elif which == "+dropout":
@@ -146,7 +142,7 @@ def variant(pairs, which: str, cfg: DataGenConfig) -> list[ParallelPair]:
         keep = lambda tag: True
     else:
         raise ValueError(f"unknown variant {which!r} (expected one of {VARIANTS})")
-    return filter_dedup([p for p in pairs if keep(p.tag)], cfg.wer_max, cfg.dedup)
+    return filter_dedup([p for p in pairs if keep(p.tag)], cfg.wer_max)
 
 
 def write_pairs_jsonl(path, pairs) -> None:

@@ -8,7 +8,7 @@ the number of reachable prefixes the marginals are exact. The language
 model weighs in twice: completed words steer pruning while the search runs,
 and the final ranking scores every surviving hypothesis again from scratch as
 
-    fused = acoustic + lambda * lm(text) + bonus * word_count
+    fused = acoustic + lambda * lm(text)
 
 so the reported decomposition is exact by construction.
 """
@@ -55,7 +55,6 @@ class FrameLattice:
 class FusionConfig:
     lam: float = 0.5
     width: int = 16
-    word_bonus: float = 0.0
 
     def __post_init__(self):
         if self.width < 1:
@@ -106,19 +105,18 @@ def _logaddexp(a: float, b: float) -> float:
 class _LmState:
     """Incremental word-level LM scoring of a growing prefix (pruning only)."""
 
-    __slots__ = ("history", "total", "words")
+    __slots__ = ("history", "total")
 
-    def __init__(self, history, total, words):
+    def __init__(self, history, total):
         self.history = history
         self.total = total
-        self.words = words
 
     def advance(self, word, lm):
         if lm is None:
-            return _LmState(self.history, self.total, self.words + 1)
+            return self
         lp = lm.cond_logprob(word, self.history)
         history = (self.history[1:] + (word,)) if lm.order > 1 else ()
-        return _LmState(history, self.total + lp, self.words + 1)
+        return _LmState(history, self.total + lp)
 
 
 def fused_beam_search(lattice: FrameLattice, lm, cfg: FusionConfig) -> NBestList:
@@ -129,7 +127,7 @@ def fused_beam_search(lattice: FrameLattice, lm, cfg: FusionConfig) -> NBestList
     """
     space = " "
     bos_history = (("<s>",) * (lm.order - 1)) if lm is not None and lm.order > 1 else ()
-    empty_state = _LmState(bos_history, 0.0, 0)
+    empty_state = _LmState(bos_history, 0.0)
 
     # prefix -> [ends-in-blank logprob, ends-in-nonblank logprob, lm state]
     beam = {"": [0.0, NEG_INF, empty_state]}
@@ -172,8 +170,7 @@ def fused_beam_search(lattice: FrameLattice, lm, cfg: FusionConfig) -> NBestList
         def prune_key(item):
             prefix, (p_b, p_nb, state) = item
             lm_term = cfg.lam * state.total if cfg.lam else 0.0
-            score = _logaddexp(p_b, p_nb) + lm_term + cfg.word_bonus * state.words
-            return (-score, prefix)
+            return (-(_logaddexp(p_b, p_nb) + lm_term), prefix)
 
         beam = dict(sorted(nxt.items(), key=prune_key)[: cfg.width])
 
@@ -183,7 +180,7 @@ def fused_beam_search(lattice: FrameLattice, lm, cfg: FusionConfig) -> NBestList
         acoustic = _logaddexp(p_b, p_nb)
         lm_score = lm.logprob_sentence(text) if lm is not None else 0.0
         lm_term = cfg.lam * lm_score if cfg.lam else 0.0
-        fused = acoustic + lm_term + cfg.word_bonus * len(text.split())
+        fused = acoustic + lm_term
         hyps.append(Hypothesis(text, acoustic, lm_score, fused))
     # Distinct prefixes can normalize to the same text; keep the best of each.
     best: dict[str, Hypothesis] = {}

@@ -28,7 +28,6 @@ class InitPlan:
     checkpoint_path: str | None = None
     std: float = 0.02
     seed: int = 0
-    duplicate_cross_attention: bool = True
 
     def __post_init__(self):
         for side, src in (("encoder", self.encoder_source), ("decoder", self.decoder_source)):
@@ -102,22 +101,12 @@ def _decoder_source_name(name: str) -> str:
     return f"encoder.{layer}.{block}.{rest}"
 
 
-def transfer_decoder(ckpt: ck.Checkpoint, spec: ModelSpec,
-                     duplicate_cross_attention: bool = True) -> dict[str, np.ndarray]:
+def transfer_decoder(ckpt: ck.Checkpoint, spec: ModelSpec) -> dict[str, np.ndarray]:
     """Fill the decoder stack from encoder layers, duplicating each layer's
-    self-attention block into the cross-attention slot.
-
-    With duplication off, cross-attention tensors are left out (the caller
-    falls back to random for them)."""
+    self-attention block into the cross-attention slot."""
     _check_compat(ckpt, spec)
-    out = {}
-    for name, shape in param_shapes(spec).items():
-        if not name.startswith("decoder."):
-            continue
-        if ".cross_attn." in name and not duplicate_cross_attention:
-            continue
-        out[name] = _copy_tensor(ckpt, _decoder_source_name(name), name, shape)
-    return out
+    return {name: _copy_tensor(ckpt, _decoder_source_name(name), name, shape)
+            for name, shape in param_shapes(spec).items() if name.startswith("decoder.")}
 
 
 def build_weights(spec: ModelSpec, plan: InitPlan, vocab_hash: str | None = None) -> InitResult:
@@ -150,8 +139,7 @@ def build_weights(spec: ModelSpec, plan: InitPlan, vocab_hash: str | None = None
                 sources[name] = f"checkpoint:{name}"
 
     if plan.decoder_source == "pretrained":
-        transferred = transfer_decoder(ckpt, spec, plan.duplicate_cross_attention)
-        for name, arr in transferred.items():
+        for name, arr in transfer_decoder(ckpt, spec).items():
             weights[name] = arr
             sources[name] = f"checkpoint:{_decoder_source_name(name)}"
 

@@ -54,6 +54,8 @@ LOCK_FILE = ".lock"
 EVAL_TAG = "eval"
 CORRECTED_TAG = "corrected"
 
+HISTOGRAM_BIN_WIDTH = 0.05  # WER bin width of histogram.csv
+
 INIT_CELLS = (
     ("rand/rand", "random", "random"),
     ("pre/rand", "pretrained", "random"),
@@ -83,9 +85,7 @@ _DEFAULTS: dict = {
     "channel": {
         "del_prob": 0.004,
         "ins_prob": 0.003,
-        "dropout_strength": 1.0,
         "cutout_len": [2, 5],
-        "calibrate": True,
         "target_wer": 0.15,
         "calibration_sentences": 200,
     },
@@ -93,12 +93,9 @@ _DEFAULTS: dict = {
         "folds": 10,
         "n_dropout_rounds": 3,
         "dropout_boost": 2.0,
-        "cutout": True,
         "cutout_rate": 0.03,
         "wer_max": 0.5,
-        "dedup": True,
         "variant": "+both",
-        "hist_bin_width": 0.05,
     },
     "model": {"L": 2, "H": 64, "A": 4, "P_drop": 0.1, "max_len": 40, "ffn_mult": 4},
     "train": {
@@ -112,14 +109,13 @@ _DEFAULTS: dict = {
         "smoothing": 0.1,
         "encoder_init": "random",
         "decoder_init": "random",
-        "duplicate_cross_attention": True,
         "pretrain_steps": 300,
     },
     "lm": {"order": 3, "discount": 0.1},
-    "decode": {"lam": 0.5, "width": 8, "word_bonus": 0.0},
+    "decode": {"lam": 0.5, "width": 8},
     "correct": {"width": 1},
     "eval": {"pairs": CORRECTED_FILE},
-    "ablate": {"steps": 300, "variant": "+both", "width": 1},
+    "ablate": {"steps": 300},
 }
 
 # "small" is the full-size run; "tiny" trades accuracy for a demo that
@@ -178,7 +174,6 @@ def validate_config(cfg: dict) -> None:
     _expect(cfg, "corpus.eval_fraction", num, lambda v: 0 < v < 1)
     _expect(cfg, "vocab.target_size", int, lambda v: v > len(wp.RESERVED))
     _expect(cfg, "channel.target_wer", num, lambda v: 0 < v < 1)
-    _expect(cfg, "channel.calibrate", bool)
     _expect(cfg, "channel.calibration_sentences", int, lambda v: v >= 1)
     _expect(cfg, "data.folds", int, lambda v: v >= 2)
     _expect(cfg, "data.n_dropout_rounds", int, lambda v: v >= 0)
@@ -206,8 +201,6 @@ def validate_config(cfg: dict) -> None:
     _expect(cfg, "correct.width", int, lambda v: v >= 1)
     _expect(cfg, "eval.pairs", str, lambda v: bool(v))
     _expect(cfg, "ablate.steps", int, lambda v: v >= 1)
-    if cfg["ablate"]["variant"] not in datagen.VARIANTS:
-        raise ConfigError(f"config field ablate.variant must be one of {datagen.VARIANTS}")
 
 
 def load_config_file(path) -> dict:
@@ -274,15 +267,32 @@ def read_manifest(out_dir) -> list[dict]:
         return [json.loads(line) for line in f if line.strip()]
 
 
-def _lock_holder_is_dead(path: Path) -> bool:
-    """True only when the lock file names a PID that no longer runs."""
+def _reclaim_stale_lock(path: Path) -> bool:
+    """Remove a lock whose PID no longer runs; True when the lock may be taken again.
+
+    Two runs can find the same dead PID. So the file is renamed to a name
+    private to this process and deleted only if it still holds the probed
+    text; otherwise it is the fresh lock of a run that reclaimed first, and
+    it is put back.
+    """
     try:
-        os.kill(int(path.read_text()), 0)
+        probed = path.read_text()
+        os.kill(int(probed), 0)
+        return False
     except ProcessLookupError:
-        return True
-    except (OSError, ValueError, OverflowError):  # not ours to signal, or unreadable
         pass
-    return False
+    except (OSError, ValueError, OverflowError):  # not ours to signal, or unreadable
+        return False
+    aside = path.with_name(f"{path.name}.{os.getpid()}")
+    try:
+        os.rename(path, aside)
+    except FileNotFoundError:  # another run removed it first
+        return True
+    if aside.read_text() != probed:
+        os.rename(aside, path)
+        return False
+    aside.unlink()
+    return True
 
 
 @contextmanager
@@ -298,10 +308,9 @@ def directory_lock(out_dir):
             fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
             break
         except FileExistsError:
-            if attempt or not _lock_holder_is_dead(path):
+            if attempt or not _reclaim_stale_lock(path):
                 raise LockError(f"output directory {out_dir} is locked by another run "
                                 f"(the PID in {path} is running or unreadable)") from None
-            path.unlink(missing_ok=True)
     try:
         os.write(fd, f"{os.getpid()}\n".encode())
         os.close(fd)
@@ -339,17 +348,15 @@ def _channel_base(cfg: dict) -> chan.ChannelConfig:
     c = cfg["channel"]
     return chan.default_config(
         del_prob=c["del_prob"], ins_prob=c["ins_prob"],
-        dropout_strength=c["dropout_strength"], cutout_len=tuple(c["cutout_len"]),
-        seed=cfg["seed"])
+        cutout_len=tuple(c["cutout_len"]), seed=cfg["seed"])
 
 
 def _datagen_config(cfg: dict) -> datagen.DataGenConfig:
     d = cfg["data"]
     return datagen.DataGenConfig(
         folds=d["folds"], n_dropout_rounds=d["n_dropout_rounds"],
-        dropout_boost=d["dropout_boost"], cutout=d["cutout"],
-        cutout_rate=d["cutout_rate"], wer_max=d["wer_max"], dedup=d["dedup"],
-        seed=cfg["seed"])
+        dropout_boost=d["dropout_boost"], cutout_rate=d["cutout_rate"],
+        wer_max=d["wer_max"], seed=cfg["seed"])
 
 
 def _model_spec(cfg: dict, vocab_size: int) -> ModelSpec:
@@ -375,10 +382,8 @@ def _gen_data(cfg: dict, out_dir: Path) -> StageResult:
     save_corpus(out_dir / CORPUS_FILE, train_s)
     save_corpus(out_dir / EVAL_CORPUS_FILE, eval_s)
 
-    base = _channel_base(cfg)
-    if cfg["channel"]["calibrate"]:
-        sample = train_s[: cfg["channel"]["calibration_sentences"]]
-        base = chan.calibrate_strength(base, sample, cfg["channel"]["target_wer"])
+    sample = train_s[: cfg["channel"]["calibration_sentences"]]
+    base = chan.calibrate_strength(_channel_base(cfg), sample, cfg["channel"]["target_wer"])
     (out_dir / CHANNEL_FILE).write_text(chan.config_to_json(base) + "\n")
 
     dg = _datagen_config(cfg)
@@ -398,7 +403,7 @@ def _gen_data(cfg: dict, out_dir: Path) -> StageResult:
 
     train_variant = datagen.variant(pairs, cfg["data"]["variant"], dg)
     hist = evalkit.wer_histogram(((p.target, p.source) for p in train_variant),
-                                 cfg["data"]["hist_bin_width"])
+                                 HISTOGRAM_BIN_WIDTH)
     (out_dir / HISTOGRAM_FILE).write_text(hist.to_csv())
 
     eval_wer = evalkit.wer_corpus((p.target, p.source) for p in eval_pairs).rate
@@ -456,8 +461,7 @@ def _ensure_pretrained(cfg: dict, out_dir: Path, spec: ModelSpec,
 def _init_plan(cfg: dict, enc_src: str, dec_src: str, ckpt_path: Path | None) -> InitPlan:
     return InitPlan(encoder_source=enc_src, decoder_source=dec_src,
                     checkpoint_path=None if ckpt_path is None else str(ckpt_path),
-                    seed=cfg["seed"],
-                    duplicate_cross_attention=cfg["train"]["duplicate_cross_attention"])
+                    seed=cfg["seed"])
 
 
 def _train_stage(cfg: dict, out_dir: Path) -> StageResult:
@@ -545,8 +549,7 @@ def _decode_stage(cfg: dict, out_dir: Path) -> StageResult:
     eval_s = load_corpus(_require(out_dir, EVAL_CORPUS_FILE))
     base = chan.config_from_json(_require(out_dir, CHANNEL_FILE).read_text())
     eval_cc = dataclasses.replace(base, seed=_derived_seed(cfg["seed"], _EVAL_CHANNEL_KEY))
-    fusion = FusionConfig(lam=cfg["decode"]["lam"], width=cfg["decode"]["width"],
-                          word_bonus=cfg["decode"]["word_bonus"])
+    fusion = FusionConfig(lam=cfg["decode"]["lam"], width=cfg["decode"]["width"])
 
     nbests, greedy_pairs, fused_pairs = [], [], []
     for s in eval_s:
@@ -581,7 +584,7 @@ def _ablate_stage(cfg: dict, out_dir: Path) -> StageResult:
     spec = _model_spec(cfg, len(vocab))
     dg = _datagen_config(cfg)
     tcfg = _train_config(cfg, cfg["ablate"]["steps"])
-    width = cfg["ablate"]["width"]
+    width = cfg["correct"]["width"]
     losses = {}
 
     def fit_and_score(plan: InitPlan, train_pairs):
@@ -601,7 +604,7 @@ def _ablate_stage(cfg: dict, out_dir: Path) -> StageResult:
     (out_dir / TABLE1_FILE).write_text(table1.to_csv())
 
     ckpt_path, pre_in, pre_out = _ensure_pretrained(cfg, out_dir, spec, vocab)
-    cell_pairs = datagen.variant(pairs, cfg["ablate"]["variant"], dg)
+    cell_pairs = datagen.variant(pairs, cfg["data"]["variant"], dg)
     runs2 = []
     for label, enc_src, dec_src in INIT_CELLS:
         plan = _init_plan(cfg, enc_src, dec_src, ckpt_path)

@@ -188,13 +188,16 @@ def _run_steps(params: dict[str, np.ndarray], encoded: list[EncodedPair], cfg: T
     return TrainResult(params, losses, step)
 
 
+_EVAL_BATCH = 64  # pairs per evaluate_loss batch
+
+
 def evaluate_loss(spec: ModelSpec, weights: dict[str, np.ndarray], encoded: list[EncodedPair],
-                  smoothing: float = 0.0, batch_size: int = 64) -> float:
+                  smoothing: float = 0.0) -> float:
     """Deterministic eval-mode loss over a fixed pair list (token-weighted)."""
     batch_loss = _pair_loss(spec, smoothing, train=False)
     total, count = 0.0, 0
-    for lo in range(0, len(encoded), batch_size):
-        chunk = encoded[lo : lo + batch_size]
+    for lo in range(0, len(encoded), _EVAL_BATCH):
+        chunk = encoded[lo : lo + _EVAL_BATCH]
         tape = Tape()
         loss = batch_loss(tape, {n: tape.constant(a) for n, a in weights.items()}, chunk, None, 0)
         n = sum(len(p.tgt) + 1 for p in chunk)  # target tokens plus the end marker
@@ -244,9 +247,10 @@ def mask_tokens(ids: tuple[int, ...], rng: np.random.Generator, rate: float = 0.
     return corrupted, targets
 
 
-def pretrain_encoder(spec: ModelSpec, sentences_ids: list[tuple[int, ...]], cfg: TrainConfig,
-                     mask_rate: float = 0.15) -> TrainResult:
-    """Masked-token pretraining of the embedding block plus encoder stack.
+def pretrain_encoder(spec: ModelSpec, sentences_ids: list[tuple[int, ...]],
+                     cfg: TrainConfig) -> TrainResult:
+    """Masked-token pretraining of the embedding block plus encoder stack
+    (15% of the tokens masked, see ``mask_tokens``).
 
     Returns encoder-side weights only, trained to predict masked tokens
     from context; this is the synthetic stand-in for a pretrained encoder.
@@ -263,7 +267,7 @@ def pretrain_encoder(spec: ModelSpec, sentences_ids: list[tuple[int, ...]], cfg:
         src = np.full((len(items), width), PAD, dtype=np.int64)
         targets = np.full((len(items), width), PAD, dtype=np.int64)
         for i, p in enumerate(items):
-            corrupted, t_row = mask_tokens(p.src, rng, mask_rate)
+            corrupted, t_row = mask_tokens(p.src, rng)
             src[i, : len(p.src)] = corrupted
             targets[i, : len(p.src)] = t_row
         if not (targets != PAD).any():
@@ -276,14 +280,11 @@ def pretrain_encoder(spec: ModelSpec, sentences_ids: list[tuple[int, ...]], cfg:
                       batch_loss)
 
 
-def make_pretrained_checkpoint(spec: ModelSpec, vocab: Vocab, sentences, cfg: TrainConfig,
-                               mask_rate: float = 0.15) -> ck.Checkpoint:
+def make_pretrained_checkpoint(spec: ModelSpec, vocab: Vocab, sentences,
+                               cfg: TrainConfig) -> ck.Checkpoint:
     """Pretrain on raw sentences and package the encoder as a checkpoint."""
-    ids = []
-    for s in sentences:
-        row = list(wp_encode(vocab, s))[: spec.max_len - 1] + [EOS]
-        ids.append(tuple(row))
-    result = pretrain_encoder(spec, ids, cfg, mask_rate)
+    ids = [encode_pair(vocab, s, "", spec.max_len, spec.max_len).src for s in sentences]
+    result = pretrain_encoder(spec, ids, cfg)
     meta = spec.to_meta()
     meta["vocab_sha1"] = vocab.content_hash()
     meta["pretrain_steps"] = str(result.steps_run)

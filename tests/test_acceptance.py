@@ -154,7 +154,7 @@ class TestCriterion6:
     def test_criterion_6_dataset_structure(self):
         sentences = corpus_mod.generate_corpus(corpus_mod.CorpusConfig(n_sentences=60, seed=6))
         folds = [ch.default_config(dropout_strength=1.2, seed=100 + f) for f in range(5)]
-        cfg = dg.DataGenConfig(folds=5, n_dropout_rounds=2, cutout=True, cutout_rate=0.05, seed=60)
+        cfg = dg.DataGenConfig(folds=5, n_dropout_rounds=2, cutout_rate=0.05, seed=60)
         pairs = dg.generate(sentences, cfg, folds)
 
         sizes = {v: len(dg.variant(pairs, v, cfg)) for v in ("base", "+cutout", "+dropout", "+both")}
@@ -167,7 +167,7 @@ class TestCriterion6:
         # Boundary of the WER filter: 0.5 stays, anything above goes.
         at_half = dg.ParallelPair(source="a x", target="a b", wer=0.5, tag=dg.TAG_BASE, fold=0, seed=0)
         above = dg.ParallelPair(source="x y", target="a b", wer=1.0, tag=dg.TAG_BASE, fold=0, seed=0)
-        kept = dg.filter_dedup([at_half, above], wer_max=0.5, dedup=False)
+        kept = dg.filter_dedup([at_half, above], wer_max=0.5)
         assert kept == [at_half], "criterion 6: FAIL (0.5 boundary misfiltered)"
         report(6, f"variant sizes {sizes}, union and 0.5 boundary hold")
 

@@ -73,14 +73,14 @@ class TestKfold:
 class TestGenerate:
     def test_round_count_and_tags(self):
         corpus = make_corpus(20)
-        cfg = DataGenConfig(folds=4, n_dropout_rounds=3, cutout=True, seed=1)
+        cfg = DataGenConfig(folds=4, n_dropout_rounds=3, seed=1)
         pairs = generate(corpus, cfg, make_channels(4))
         assert len(pairs) == len(corpus) * 5
         tags = {p.tag for p in pairs}
         assert tags == {TAG_BASE, dropout_tag(0), dropout_tag(1), dropout_tag(2), TAG_CUTOUT}
 
     def test_wer_field_is_recomputable(self):
-        cfg = DataGenConfig(folds=3, n_dropout_rounds=1, cutout=True, seed=2)
+        cfg = DataGenConfig(folds=3, n_dropout_rounds=1, seed=2)
         pairs = generate(make_corpus(15), cfg, make_channels(3))
         for p in pairs:
             assert p.wer == wer(p.target, p.source).rate
@@ -98,7 +98,7 @@ class TestGenerate:
             assert p.source == corrupt(channels[p.fold], p.target)
 
     def test_dropout_rounds_use_distinct_seeds(self):
-        cfg = DataGenConfig(folds=2, n_dropout_rounds=3, cutout=True, seed=0)
+        cfg = DataGenConfig(folds=2, n_dropout_rounds=3, seed=0)
         pairs = generate(make_corpus(6), cfg, make_channels(2))
         by_tag = collections.defaultdict(set)
         for p in pairs:
@@ -116,7 +116,7 @@ class TestGenerate:
 
     def test_regeneration_is_byte_identical(self, tmp_path):
         corpus = make_corpus(25)
-        cfg = DataGenConfig(folds=5, n_dropout_rounds=2, cutout=True, seed=7)
+        cfg = DataGenConfig(folds=5, n_dropout_rounds=2, seed=7)
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_pairs_jsonl(a, generate(corpus, cfg, make_channels(5)))
         write_pairs_jsonl(b, generate(corpus, cfg, make_channels(5)))
@@ -134,30 +134,25 @@ class TestFilterDedup:
         assert at_cap.wer == 0.5
         above = pair("x x x d e", "a b c d e")
         assert above.wer == 0.6
-        kept = filter_dedup([at_cap, above], wer_max=0.5, dedup=True)
+        kept = filter_dedup([at_cap, above], wer_max=0.5)
         assert kept == [at_cap]
 
     def test_dedup_keeps_first(self):
         p1 = pair("a x", "a b", fold=0)
         p2 = pair("a x", "a b", fold=1, seed=9)
         p3 = pair("a y", "a b", fold=1)
-        kept = filter_dedup([p1, p2, p3], wer_max=1.0, dedup=True)
+        kept = filter_dedup([p1, p2, p3], wer_max=1.0)
         assert kept == [p1, p3]
-
-    def test_dedup_off_keeps_duplicates(self):
-        p1 = pair("a x", "a b")
-        kept = filter_dedup([p1, p1], wer_max=1.0, dedup=False)
-        assert kept == [p1, p1]
 
     def test_order_stable(self):
         ps = [pair(f"w{i} x", f"w{i} y", seed=i) for i in range(10)]
-        assert filter_dedup(ps, wer_max=1.0, dedup=True) == ps
+        assert filter_dedup(ps, wer_max=1.0) == ps
 
 
 @pytest.fixture(scope="module")
 def run():
     corpus = make_corpus(60, seed=4)
-    cfg = DataGenConfig(folds=5, n_dropout_rounds=2, cutout=True, cutout_rate=0.05, seed=11)
+    cfg = DataGenConfig(folds=5, n_dropout_rounds=2, cutout_rate=0.05, seed=11)
     return cfg, generate(corpus, cfg, make_channels(5, seed=40))
 
 
@@ -186,7 +181,7 @@ class TestVariants:
 
 class TestPairFile:
     def test_round_trip(self, tmp_path):
-        cfg = DataGenConfig(folds=3, n_dropout_rounds=1, cutout=True, seed=3)
+        cfg = DataGenConfig(folds=3, n_dropout_rounds=1, seed=3)
         pairs = generate(make_corpus(10), cfg, make_channels(3))
         path = tmp_path / "pairs.jsonl"
         write_pairs_jsonl(path, pairs)

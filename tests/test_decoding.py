@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postasr import decoding, ngram
+from postasr import ngram
 from postasr.decoding import (
     FrameLattice,
     FusionConfig,

@@ -1,9 +1,7 @@
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postasr import evalkit
 from postasr.evalkit import AblationReport, ablation_report, wer, wer_corpus, wer_histogram
 
 WORDS = ["a", "b", "c", "d", "e"]

@@ -13,7 +13,7 @@ from postasr.initialization import (
     transfer_decoder,
     transfer_encoder,
 )
-from postasr.model import ModelSpec, check_weights, param_shapes, sinusoidal_positions
+from postasr.model import ModelSpec, check_weights, sinusoidal_positions
 
 SPEC = ModelSpec(L=2, H=16, A=4, P_drop=0.1, V=32, max_len=10)
 BIG = ModelSpec(L=1, H=64, A=4, P_drop=0.0, V=400, max_len=16)
@@ -153,12 +153,6 @@ class TestTransferDecoder:
         changed = {n for n in base if base[n].tobytes() != after[n].tobytes()}
         assert changed == {"decoder.1.self_attn.v.weight", "decoder.1.cross_attn.v.weight"}
 
-    def test_duplication_off_leaves_cross_attention_out(self, ckpt_dir):
-        ckpt, _ = ckpt_dir
-        dec = transfer_decoder(ckpt, SPEC, duplicate_cross_attention=False)
-        assert not any(".cross_attn." in n for n in dec)
-        assert f"decoder.{SPEC.L - 1}.self_attn.q.weight" in dec
-
     def test_idempotent(self, ckpt_dir):
         ckpt, _ = ckpt_dir
         a = transfer_decoder(ckpt, SPEC)
@@ -167,9 +161,9 @@ class TestTransferDecoder:
 
 
 class TestBuildWeights:
-    def cell(self, path, enc, dec, **kw):
+    def cell(self, path, enc, dec):
         plan = InitPlan(encoder_source=enc, decoder_source=dec,
-                        checkpoint_path=str(path) if "pretrained" in (enc, dec) else None, **kw)
+                        checkpoint_path=str(path) if "pretrained" in (enc, dec) else None)
         return build_weights(SPEC, plan, vocab_hash="abc123")
 
     def test_all_cells_complete(self, ckpt_dir):
@@ -201,15 +195,6 @@ class TestBuildWeights:
         assert res.sources["encoder.0.self_attn.q.weight"] == "random"
         assert res.sources["decoder.0.cross_attn.q.weight"] == "checkpoint:encoder.0.self_attn.q.weight"
         assert res.sources["embed.token"] == "checkpoint:embed.token"
-
-    def test_duplication_off_falls_back_to_random(self, ckpt_dir):
-        _, path = ckpt_dir
-        res = self.cell(path, "random", "pretrained", duplicate_cross_attention=False)
-        check_weights(SPEC, res.weights)
-        assert res.sources["decoder.1.cross_attn.q.weight"] == "random"
-        assert res.sources["decoder.1.self_attn.q.weight"].startswith("checkpoint:")
-        rand = init_random(SPEC, seed=0)
-        assert res.weights["decoder.1.cross_attn.q.weight"].tobytes() == rand["decoder.1.cross_attn.q.weight"].tobytes()
 
     def test_vocab_mismatch_rejected(self, ckpt_dir):
         _, path = ckpt_dir

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postasr import ngram
-from postasr.ngram import BOS, EOS, UNK, fit, load_arpa, save_arpa
+from postasr.ngram import BOS, EOS, fit, load_arpa, save_arpa
 
 
 def context_prob_sum(model, context):

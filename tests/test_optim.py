@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from postasr.optim import (
     OptimizerConfig,
-    OptimizerState,
     init_state,
     novograd_step,
     poly_decay,

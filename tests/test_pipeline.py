@@ -27,6 +27,19 @@ MICRO = {
 }
 
 
+REMOVED_FIELDS = (
+    ("channel", "calibrate", True),
+    ("channel", "dropout_strength", 1.0),
+    ("data", "cutout", True),
+    ("data", "dedup", True),
+    ("data", "hist_bin_width", 0.05),
+    ("train", "duplicate_cross_attention", True),
+    ("decode", "word_bonus", 0.0),
+    ("ablate", "variant", "+both"),
+    ("ablate", "width", 1),
+)
+
+
 def micro_config(**overrides):
     return pl.effective_config("tiny", file_config=MICRO, overrides=overrides)
 
@@ -47,6 +60,10 @@ class TestConfig:
     def test_unknown_field_named(self):
         with pytest.raises(pl.ConfigError, match="data.varian"):
             pl.effective_config("tiny", file_config={"data": {"varian": "base"}})
+        # Fields that only ever took one value are gone and now unknown.
+        for section, field, value in REMOVED_FIELDS:
+            with pytest.raises(pl.ConfigError, match=f"unknown config field: {section}.{field}"):
+                pl.effective_config("tiny", file_config={section: {field: value}})
 
     def test_head_split_constraint_named(self):
         with pytest.raises(pl.ConfigError, match="model.H.*model.A"):
@@ -108,6 +125,37 @@ class TestLockAndDispatch:
         with pytest.raises(pl.LockError, match="locked"):
             pl.run_stage("gen-data", micro_config(), tmp_path)
         assert (tmp_path / pl.LOCK_FILE).read_text() == "not a pid\n"
+
+    def test_concurrent_reclaim_keeps_the_first_runs_lock(self, tmp_path, monkeypatch):
+        # Two runs find the same dead holder. The first reclaims the lock
+        # between the second's probe and its removal of the stale file.
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait(timeout=60)
+        lock = tmp_path / pl.LOCK_FILE
+        lock.write_text(f"{child.pid}\n")
+        first = pl.directory_lock(tmp_path)
+        first_inode = []
+        real_kill = os.kill
+
+        def probe_then_let_first_run_reclaim(pid, sig):
+            try:
+                real_kill(pid, sig)
+            except ProcessLookupError:
+                monkeypatch.setattr(os, "kill", real_kill)
+                first.__enter__()
+                first_inode.append(lock.stat().st_ino)
+                raise
+
+        monkeypatch.setattr(os, "kill", probe_then_let_first_run_reclaim)
+        with pytest.raises(pl.LockError, match="locked"):
+            with pl.directory_lock(tmp_path):
+                pass
+        assert first_inode, "the second run never probed the dead holder"
+        assert lock.read_text() == f"{os.getpid()}\n"
+        assert lock.stat().st_ino == first_inode[0]
+        assert [p.name for p in tmp_path.iterdir()] == [pl.LOCK_FILE]
+        first.__exit__(None, None, None)
+        assert not lock.exists()
 
     def test_lock_released_after_failure(self, tmp_path):
         with pytest.raises(pl.MissingInputError):
@@ -203,12 +251,12 @@ class TestTrainAndCorrect:
         pl.run_stage("vocab-build", cfg, tmp_path)
         pre = micro_config()
         pre["train"] = dict(pre["train"], steps=2, encoder_init="pretrained",
-                            decoder_init="pretrained", duplicate_cross_attention=False)
+                            decoder_init="random")
         pl.run_stage("train", pre, tmp_path)
         assert (tmp_path / pl.PRETRAINED_DIR / "manifest.txt").exists()
         record = pl.read_manifest(tmp_path)[-1]
         fallback = record["notes"]["random_fallback"]
-        assert fallback and all("cross_attn" in name for name in fallback)
+        assert fallback and all(name.startswith("decoder.") for name in fallback)
         assert f"{pl.PRETRAINED_DIR}/manifest.txt" in record["outputs"]
 
         # A second pretrained run finds the checkpoint instead of remaking it.

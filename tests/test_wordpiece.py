@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postasr import wordpiece
 from postasr.wordpiece import RESERVED, UNK, Vocab, build_vocab, decode, encode, normalize
 
 
