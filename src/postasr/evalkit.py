@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from fractions import Fraction
 
 __all__ = ["WerBreakdown", "wer", "wer_corpus", "wer_histogram", "Histogram", "AblationReport", "ablation_report"]
 
@@ -96,21 +97,24 @@ class Histogram:
 
 
 def wer_histogram(pairs, bin_width: float) -> Histogram:
-    """Sentence counts per WER bin [k*w, (k+1)*w) over (ref, hyp) pairs."""
+    """Sentence counts per WER bin [k*w, (k+1)*w) over (ref, hyp) pairs.
+
+    Bins are taken from the exact rate errors/words against the decimal
+    width, so a rate on an edge (3/20 at width 0.05) opens its bin; float
+    division would put it in the bin below.
+    """
     if bin_width <= 0:
         raise ValueError("wer_histogram: bin_width must be > 0")
-    rates = []
+    width = Fraction(str(bin_width))
+    bins = []
     for ref, hyp in pairs:
-        r = wer(ref, hyp).rate
-        if r is None:
+        b = wer(ref, hyp)
+        if b.rate is None:
             raise ValueError("wer_histogram: undefined rate (empty reference, non-empty hypothesis)")
-        rates.append(r)
-    if not rates:
-        return Histogram(bin_width, (0,))
-    top = max(int(r / bin_width) for r in rates)
-    counts = [0] * (top + 1)
-    for r in rates:
-        counts[int(r / bin_width)] += 1
+        bins.append(Fraction(b.errors, max(b.ref_words, 1)) // width)
+    counts = [0] * (max(bins, default=0) + 1)
+    for k in bins:
+        counts[k] += 1
     return Histogram(bin_width, tuple(counts))
 
 

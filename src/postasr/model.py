@@ -277,10 +277,7 @@ def forward(spec: ModelSpec, weights: dict[str, np.ndarray], src_ids, tgt_prefix
     tgt = _ids_array(tgt_prefix_ids, spec, "tgt_prefix_ids")
     tape = Tape()
     tensors = {name: tape.constant(arr) for name, arr in weights.items()}
-    logits = build_forward(tape, spec, tensors, src, tgt, train=(mode == "train"), seed=seed)
-    out = logits.value[0]
-    tape.release()
-    return out
+    return build_forward(tape, spec, tensors, src, tgt, train=(mode == "train"), seed=seed).value[0]
 
 
 def label_smoothed_loss(logits: Tensor, targets, cfg: LossConfig = LossConfig()) -> Tensor:
@@ -342,7 +339,6 @@ def correct(spec: ModelSpec, weights: dict[str, np.ndarray], src_ids, width: int
         logits = build_forward(tape, spec, tensors, np.repeat(src, len(live), axis=0),
                                batch, train=False, seed=0)
         logp = _log_softmax_np(logits.value[:, -1, :].astype(np.float64))
-        tape.release()
         cands = []
         for i, (ids, score) in enumerate(live):
             for tok in range(spec.V):

@@ -5,9 +5,16 @@ high-precision checks). Elementwise math and matrix products (BLAS
 contractions) run in the tape's dtype; the other reductions accumulate in
 float64. Elementwise primitives require exact shape agreement and never
 broadcast implicitly; ``broadcast_to`` is the one explicit way to expand a
-shape. A ``Tape`` records primitive applications in order, and
-``Tape.backward`` replays the record once, in reverse, accumulating a
-gradient per node.
+shape.
+
+A ``Tape`` records only what a gradient can reach. A tensor is
+``tracked`` or not: ``Tape.leaf`` makes a tracked input, ``Tape.constant``
+an untracked one, and a primitive's result is tracked when any of its
+inputs is. Only tracked results are recorded, so a graph built from
+constants alone (inference) records nothing. ``Tape.backward`` replays the
+record once, in reverse, accumulating a gradient into every tracked node,
+and consumes it: a tape is single-use, and the intermediates are freed
+when ``backward`` returns.
 
 Every operation is deterministic; the only stochastic primitive, ``dropout``,
 takes an explicit seed and a train/eval flag and is the identity at eval.
@@ -38,19 +45,19 @@ __all__ = [
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def _as_array(value, dtype) -> np.ndarray:
-    return np.asarray(value, dtype=dtype, order="C")
-
-
 class Tensor:
-    """A node in a tape's computation graph: a value plus a gradient slot."""
+    """A node in a tape's computation graph: a value plus a gradient slot.
 
-    __slots__ = ("tape", "value", "grad")
+    Only a ``tracked`` node, one that a leaf reaches, gets a ``grad``.
+    """
 
-    def __init__(self, tape: "Tape", value: np.ndarray):
+    __slots__ = ("tape", "value", "grad", "tracked")
+
+    def __init__(self, tape: "Tape", value: np.ndarray, tracked: bool):
         self.tape = tape
         self.value = value
         self.grad: np.ndarray | None = None
+        self.tracked = tracked
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -61,77 +68,61 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of primitive applications over one computation.
+    """Ordered record of the tracked primitive applications of one computation.
 
-    A tape is single-threaded; independent tapes may run concurrently.
+    A tape is single-threaded and single-use: ``backward`` consumes the
+    record, and a later leaf, constant, primitive or ``backward`` on the
+    tape raises. Independent tapes may run concurrently.
     """
 
     def __init__(self, dtype=np.float32):
         self.dtype = np.dtype(dtype)
-        self._records: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
-        self.leaves: list[Tensor] = []
-        self._released = False
+        self._records: list[tuple[Tensor, tuple[Tensor, ...], object]] | None = []
+
+    def _check_open(self) -> None:
+        if self._records is None:
+            raise ValueError("tape already ran backward; a tape is single-use")
+
+    def _input(self, value, tracked: bool) -> Tensor:
+        self._check_open()
+        return Tensor(self, np.asarray(value, dtype=self.dtype, order="C"), tracked)
 
     def leaf(self, value) -> Tensor:
-        if self._released:
-            raise ValueError("tape has been released")
-        t = Tensor(self, _as_array(value, self.dtype))
-        self.leaves.append(t)
-        return t
+        """A graph input that receives a gradient."""
+        return self._input(value, True)
 
     def constant(self, value) -> Tensor:
-        """A graph input whose gradient is computed but normally ignored."""
-        return Tensor(self, _as_array(value, self.dtype))
-
-    def _record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-        if self._released:
-            raise ValueError("tape has been released")
-        self._records.append((out, inputs, backward_fn))
-        return out
-
-    def release(self) -> None:
-        """Drop the recorded graph so its arrays are freed immediately.
-
-        Tensor.tape back references make every graph one big reference
-        cycle, which only the cyclic collector would reclaim; training
-        loops allocate gigabytes per step, so they release each tape as
-        soon as its gradients have been read. Values and gradients
-        already extracted stay valid; recording anything further on the
-        tape is an error.
-        """
-        self._records = []
-        self.leaves = []
-        self._released = True
+        """A graph input that receives no gradient."""
+        return self._input(value, False)
 
     def _make(self, value: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-        out = Tensor(self, np.asarray(value, dtype=self.dtype, order="C"))
-        return self._record(out, inputs, backward_fn)
+        out = self._input(value, any(t.tracked for t in inputs))
+        if out.tracked:
+            self._records.append((out, inputs, backward_fn))
+        return out
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(node) into every node's ``grad``.
+        """Accumulate d(loss)/d(node) into every tracked node's ``grad``.
 
-        ``loss`` must be a scalar (shape ``()``). Each recorded primitive is
-        visited exactly once, in reverse application order.
+        ``loss`` must be a tracked scalar (shape ``()``). The record is
+        detached first, then each recorded primitive is visited exactly
+        once, in reverse application order.
         """
-        if self._released:
-            raise ValueError("tape has been released")
+        self._check_open()
         if loss.tape is not self:
             raise ValueError("loss does not belong to this tape")
         if loss.value.shape != ():
             raise ValueError(f"backward requires a scalar loss, got shape {loss.value.shape}")
-        for out, inputs, _ in self._records:
-            out.grad = None
-            for t in inputs:
-                t.grad = None
-        for t in self.leaves:
-            t.grad = None
+        if not loss.tracked:
+            raise ValueError("loss depends on no leaf, so it has no gradient")
+        records, self._records = self._records, None
         loss.grad = np.ones((), dtype=self.dtype)
-        for out, inputs, backward_fn in reversed(self._records):
+        for out, inputs, backward_fn in reversed(records):
             if out.grad is None:
                 continue
             gs = backward_fn(out.grad)
             for t, g in zip(inputs, gs):
-                if g is None:
+                if not t.tracked:
                     continue
                 if t.grad is None:
                     t.grad = np.asarray(g, dtype=self.dtype, order="C")

@@ -13,9 +13,9 @@ in the manifest; the artifacts themselves are byte-reproducible.
 from __future__ import annotations
 
 import dataclasses
+import fcntl
 import hashlib
 import json
-import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -267,56 +267,22 @@ def read_manifest(out_dir) -> list[dict]:
         return [json.loads(line) for line in f if line.strip()]
 
 
-def _reclaim_stale_lock(path: Path) -> bool:
-    """Remove a lock whose PID no longer runs; True when the lock may be taken again.
-
-    Two runs can find the same dead PID. So the file is renamed to a name
-    private to this process and deleted only if it still holds the probed
-    text; otherwise it is the fresh lock of a run that reclaimed first, and
-    it is put back.
-    """
-    try:
-        probed = path.read_text()
-        os.kill(int(probed), 0)
-        return False
-    except ProcessLookupError:
-        pass
-    except (OSError, ValueError, OverflowError):  # not ours to signal, or unreadable
-        return False
-    aside = path.with_name(f"{path.name}.{os.getpid()}")
-    try:
-        os.rename(path, aside)
-    except FileNotFoundError:  # another run removed it first
-        return True
-    if aside.read_text() != probed:
-        os.rename(aside, path)
-        return False
-    aside.unlink()
-    return True
-
-
 @contextmanager
 def directory_lock(out_dir):
-    """One writer per output directory; the lock file names the holder.
+    """One writer per output directory: an exclusive ``flock`` on ``.lock``.
 
-    A lock left by a killed run (its PID no longer runs) is removed and the
-    lock taken once more; any other existing lock refuses the directory.
+    The kernel drops the lock when its holder exits or is killed, so a
+    crashed run never leaves the directory locked. The file stays in place
+    and is never removed, so every run locks the same inode.
     """
     path = Path(out_dir) / LOCK_FILE
-    for attempt in range(2):
+    with open(path, "a") as f:
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if attempt or not _reclaim_stale_lock(path):
-                raise LockError(f"output directory {out_dir} is locked by another run "
-                                f"(the PID in {path} is running or unreadable)") from None
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
+            fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise LockError(f"output directory {out_dir} is locked by another run "
+                            f"(it holds a flock on {path})") from None
         yield
-    finally:
-        path.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------- stages
@@ -464,6 +430,21 @@ def _init_plan(cfg: dict, enc_src: str, dec_src: str, ckpt_path: Path | None) ->
                     seed=cfg["seed"])
 
 
+def _fit_cells(spec: ModelSpec, vocab: wp.Vocab, cells, tcfg: TrainConfig):
+    """Build the initial weights of every (plan, pairs) cell, then train each.
+
+    A checkpoint that does not fit the spec or the vocabulary is a
+    ConfigError raised before any cell trains. Yields (init, result) per
+    cell, training each only when it is asked for.
+    """
+    try:
+        inits = [build_weights(spec, plan, vocab_hash=vocab.content_hash()) for plan, _ in cells]
+    except ValueError as e:
+        raise ConfigError(f"initialization failed: {e}")
+    return ((init, train(spec, init.weights, encode_pairs(vocab, pairs, spec), tcfg))
+            for init, (_, pairs) in zip(inits, cells))
+
+
 def _train_stage(cfg: dict, out_dir: Path) -> StageResult:
     vocab = wp.Vocab.load(_require(out_dir, VOCAB_FILE))
     pairs = datagen.read_pairs_jsonl(_require(out_dir, PAIRS_FILE))
@@ -482,13 +463,8 @@ def _train_stage(cfg: dict, out_dir: Path) -> StageResult:
         ckpt_path, pre_in, pre_out = _ensure_pretrained(cfg, out_dir, spec, vocab)
         inputs, outputs = inputs + pre_in, outputs + pre_out
     plan = _init_plan(cfg, enc_src, dec_src, ckpt_path)
-    try:
-        init = build_weights(spec, plan, vocab_hash=vocab.content_hash())
-    except ValueError as e:
-        raise ConfigError(f"initialization failed: {e}")
-
-    encoded = encode_pairs(vocab, train_pairs, spec)
-    result = train(spec, init.weights, encoded, _train_config(cfg, cfg["train"]["steps"]))
+    [(init, result)] = _fit_cells(spec, vocab, [(plan, train_pairs)],
+                                  _train_config(cfg, cfg["train"]["steps"]))
     save_training_checkpoint(out_dir / CKPT_DIR, spec, result.weights,
                              meta={"vocab_sha1": vocab.content_hash(),
                                    "init": f"{enc_src}/{dec_src}",
@@ -584,34 +560,24 @@ def _ablate_stage(cfg: dict, out_dir: Path) -> StageResult:
     spec = _model_spec(cfg, len(vocab))
     dg = _datagen_config(cfg)
     tcfg = _train_config(cfg, cfg["ablate"]["steps"])
-    width = cfg["correct"]["width"]
-    losses = {}
-
-    def fit_and_score(plan: InitPlan, train_pairs):
-        init = build_weights(spec, plan, vocab_hash=vocab.content_hash())
-        encoded = encode_pairs(vocab, train_pairs, spec)
-        result = train(spec, init.weights, encoded, tcfg)
-        corrected = _apply_corrector(spec, result.weights, vocab, eval_pairs, width)
-        return float(result.losses[-1]), [(p.target, p.source) for p in corrected]
-
-    runs1 = []
-    for label in datagen.VARIANTS:
-        loss, scored = fit_and_score(_init_plan(cfg, "random", "random", None),
-                                     datagen.variant(pairs, label, dg))
-        losses[f"data:{label}"] = round(loss, 6)
-        runs1.append((label, "eval", scored))
-    table1 = evalkit.ablation_report(runs1)
-    (out_dir / TABLE1_FILE).write_text(table1.to_csv())
-
     ckpt_path, pre_in, pre_out = _ensure_pretrained(cfg, out_dir, spec, vocab)
     cell_pairs = datagen.variant(pairs, cfg["data"]["variant"], dg)
-    runs2 = []
-    for label, enc_src, dec_src in INIT_CELLS:
-        plan = _init_plan(cfg, enc_src, dec_src, ckpt_path)
-        loss, scored = fit_and_score(plan, cell_pairs)
-        losses[f"init:{label}"] = round(loss, 6)
-        runs2.append((label, "eval", scored))
-    table2 = evalkit.ablation_report(runs2)
+    rand = _init_plan(cfg, "random", "random", None)
+    cells = ([("data", label, (rand, datagen.variant(pairs, label, dg)))
+              for label in datagen.VARIANTS]
+             + [("init", label, (_init_plan(cfg, enc_src, dec_src, ckpt_path), cell_pairs))
+                for label, enc_src, dec_src in INIT_CELLS])
+    fitted = _fit_cells(spec, vocab, [cell for _, _, cell in cells], tcfg)
+
+    losses, runs = {}, {"data": [], "init": []}
+    for (table, label, _), (_, result) in zip(cells, fitted):
+        losses[f"{table}:{label}"] = round(float(result.losses[-1]), 6)
+        corrected = _apply_corrector(spec, result.weights, vocab, eval_pairs,
+                                     cfg["correct"]["width"])
+        runs[table].append((label, "eval", [(p.target, p.source) for p in corrected]))
+    table1 = evalkit.ablation_report(runs["data"])
+    table2 = evalkit.ablation_report(runs["init"])
+    (out_dir / TABLE1_FILE).write_text(table1.to_csv())
     (out_dir / TABLE2_FILE).write_text(table2.to_csv())
 
     summary = {

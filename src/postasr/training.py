@@ -168,11 +168,9 @@ def _run_steps(params: dict[str, np.ndarray], encoded: list[EncodedPair], cfg: T
             loss = batch_loss(tape, tensors, [encoded[i] for i in batch_ids], rng,
                               _mix_seed(cfg.seed, step))
             if loss is None:
-                tape.release()
                 continue
             tape.backward(loss)
             grads = {n: tensors[n].grad for n in params}
-            tape.release()
             params, state = novograd_step(params, grads, state, ocfg, poly_decay(step, ocfg))
             losses.append(float(loss.value))
             step += 1
@@ -203,7 +201,6 @@ def evaluate_loss(spec: ModelSpec, weights: dict[str, np.ndarray], encoded: list
         n = sum(len(p.tgt) + 1 for p in chunk)  # target tokens plus the end marker
         total += float(loss.value) * n
         count += n
-        tape.release()
     return total / max(count, 1)
 
 

@@ -1,7 +1,6 @@
 """Exit codes, flag handling, and printed output of the command line."""
 
 import json
-import os
 
 import pytest
 
@@ -85,9 +84,9 @@ def test_absent_config_file_exits_4(tmp_path, capsys):
 
 
 def test_locked_dir_exits_1(tmp_path, micro_cfg_file, capsys):
-    (tmp_path / pl.LOCK_FILE).write_text(f"{os.getpid()}\n")
-    code = main(["gen-data", "--scale", "tiny", "--config", micro_cfg_file,
-                 "--out-dir", str(tmp_path)])
+    with pl.directory_lock(tmp_path):
+        code = main(["gen-data", "--scale", "tiny", "--config", micro_cfg_file,
+                     "--out-dir", str(tmp_path)])
     assert code == 1
     assert "locked" in capsys.readouterr().err
 
@@ -128,3 +127,26 @@ def test_stage_summary_plain_output(tmp_path, micro_cfg_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert any(line.startswith("eval_channel_wer ") for line in out.splitlines())
+
+
+def test_ablate_on_a_stale_pretrained_checkpoint_exits_3(tmp_path, capsys):
+    # vocab-build again with another size leaves pretrained/ on the old vocabulary.
+    out = tmp_path / "out"
+    configs = []
+    for size in (80, 70):
+        path = tmp_path / f"config{size}.json"
+        path.write_text(json.dumps({**MICRO, "vocab": {"target_size": size}}))
+        configs.append(str(path))
+
+    def run(stage, config):
+        return main([stage, "--scale", "tiny", "--config", config, "--out-dir", str(out)])
+
+    for stage in ("gen-data", "vocab-build", "ablate"):
+        assert run(stage, configs[0]) == 0
+    tables = {name: (out / name).read_bytes() for name in (pl.TABLE1_FILE, pl.TABLE2_FILE)}
+    assert run("vocab-build", configs[1]) == 0
+    capsys.readouterr()
+    assert run("ablate", configs[1]) == 3
+    assert "initialization failed" in capsys.readouterr().err
+    for name, before in tables.items():
+        assert (out / name).read_bytes() == before

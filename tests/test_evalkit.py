@@ -141,6 +141,13 @@ class TestHistogram:
         assert rates == [0.0, 0.2, 0.25, 0.6]
         h = wer_histogram(pairs, 0.25)
         assert h.counts == (2, 1, 1)
+        # A rate on an edge opens its bin: 3/20 = 0.15 is bin 3 and 3/5 = 0.6
+        # bin 12 at width 0.05, where float division gives 2.999... and 11.999...
+        ref = [f"w{i}" for i in range(20)]
+        edge_pairs = [(" ".join(ref), " ".join(["x", "y", "z"] + ref[3:])), pairs[3]]
+        assert [wer(r, h).rate for r, h in edge_pairs] == [0.15, 0.6]
+        counts = wer_histogram(edge_pairs, 0.05).counts
+        assert len(counts) == 13 and counts[3] == counts[12] == 1 and sum(counts) == 2
 
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError):

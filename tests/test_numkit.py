@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -361,27 +363,50 @@ def test_cross_tape_operands_rejected():
         numkit.add(a, b)
 
 
-def test_release_keeps_extracted_data_and_blocks_reuse():
-    tape = Tape()
-    x = tape.leaf(np.array([1.0, 2.0]))
-    y = numkit.tensor_sum(numkit.mul_scalar(x, 3.0))
-    tape.backward(y)
-    val, grad = float(y.value), x.grad.copy()
-    tape.release()
-    assert val == 9.0
-    assert np.array_equal(x.grad, grad)
-    with pytest.raises(ValueError, match="released"):
-        tape.leaf([1.0])
-    with pytest.raises(ValueError, match="released"):
-        numkit.add(x, x)
-    with pytest.raises(ValueError, match="released"):
+class TestTracking:
+    def test_constant_graph_records_nothing(self):
+        tape = Tape()
+        a, b = tape.constant(np.ones((2, 3))), tape.constant(np.ones((3, 2)))
+        out = numkit.softmax(numkit.gelu(numkit.matmul(a, b)))
+        assert not out.tracked and tape._records == []
+
+    def test_constant_gets_no_grad(self):
+        tape = Tape()
+        x, c = tape.leaf([1.0, 2.0]), tape.constant([3.0, 4.0])
+        tape.backward(numkit.tensor_sum(numkit.mul(x, c)))
+        assert c.grad is None
+        assert np.allclose(x.grad, [3.0, 4.0])
+
+    def test_tape_is_single_use(self):
+        tape = Tape()
+        x = tape.leaf(np.array([1.0, 2.0]))
+        y = numkit.tensor_sum(numkit.mul_scalar(x, 3.0))
         tape.backward(y)
+        assert float(y.value) == 9.0 and np.array_equal(x.grad, [3.0, 3.0])
+        for after in (lambda: tape.backward(y), lambda: numkit.add(x, x),
+                      lambda: tape.leaf([1.0]), lambda: tape.constant([1.0])):
+            with pytest.raises(ValueError, match="single-use"):
+                after()
+        assert np.array_equal(x.grad, [3.0, 3.0])
 
+    def test_backward_frees_the_graph(self):
+        tape = Tape()
+        x = tape.leaf(np.ones(4))
+        mid = numkit.mul_scalar(x, 2.0)
+        mid_value = weakref.ref(mid.value)
+        loss = numkit.tensor_sum(mid)
+        del mid
+        assert mid_value() is not None
+        tape.backward(loss)
+        assert mid_value() is None
 
-def test_release_drops_graph_references():
-    tape = Tape()
-    x = tape.leaf(np.ones(4))
-    y = numkit.mul_scalar(x, 2.0)
-    tape.release()
-    assert tape.leaves == [] and tape._records == []
-    assert np.array_equal(y.value, np.full(4, 2.0))
+    def test_scalar_leaf_as_loss_gets_gradient_one(self):
+        tape = Tape()
+        x = tape.leaf(2.5)
+        tape.backward(x)
+        assert x.grad.dtype == np.float32 and float(x.grad) == 1.0
+
+    def test_untracked_loss_rejected(self):
+        tape = Tape()
+        with pytest.raises(ValueError, match="no leaf"):
+            tape.backward(numkit.tensor_sum(tape.constant([1.0, 2.0])))

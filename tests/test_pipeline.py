@@ -1,9 +1,12 @@
 """End-to-end checks for the stage pipeline on a micro workload."""
 
+import fcntl
 import json
 import os
+import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,61 +111,37 @@ class TestLockAndDispatch:
             pl.run_stage("compile", micro_config(), tmp_path)
 
     def test_locked_directory_rejected(self, tmp_path):
-        (tmp_path / pl.LOCK_FILE).write_text(f"{os.getpid()}\n")
-        with pytest.raises(pl.LockError, match="locked"):
-            pl.run_stage("gen-data", micro_config(), tmp_path)
+        with pl.directory_lock(tmp_path):
+            with pytest.raises(pl.LockError, match="locked"):
+                pl.run_stage("gen-data", micro_config(), tmp_path)
+        assert not (tmp_path / pl.CORPUS_FILE).exists()
 
-    def test_dead_holder_lock_reclaimed(self, tmp_path):
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait(timeout=60)
-        (tmp_path / pl.LOCK_FILE).write_text(f"{child.pid}\n")
+    def test_lock_of_a_killed_run_is_dropped(self, tmp_path):
+        holder = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys\nfrom postasr import pipeline as pl\n"
+             "with pl.directory_lock(sys.argv[1]):\n"
+             "    print('held', flush=True)\n    sys.stdin.read()\n", str(tmp_path)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(pl.__file__).parents[1])})
+        try:
+            assert holder.stdout.readline() == "held\n"
+            with pytest.raises(pl.LockError, match="locked"):
+                pl.run_stage("gen-data", micro_config(), tmp_path)
+        finally:
+            holder.kill()
+            holder.wait(timeout=60)
+        assert holder.returncode == -signal.SIGKILL
         pl.run_stage("gen-data", micro_config(), tmp_path)
         assert (tmp_path / pl.CORPUS_FILE).exists()
-        assert not (tmp_path / pl.LOCK_FILE).exists()
-
-    def test_garbled_lock_rejected(self, tmp_path):
-        (tmp_path / pl.LOCK_FILE).write_text("not a pid\n")
-        with pytest.raises(pl.LockError, match="locked"):
-            pl.run_stage("gen-data", micro_config(), tmp_path)
-        assert (tmp_path / pl.LOCK_FILE).read_text() == "not a pid\n"
-
-    def test_concurrent_reclaim_keeps_the_first_runs_lock(self, tmp_path, monkeypatch):
-        # Two runs find the same dead holder. The first reclaims the lock
-        # between the second's probe and its removal of the stale file.
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait(timeout=60)
-        lock = tmp_path / pl.LOCK_FILE
-        lock.write_text(f"{child.pid}\n")
-        first = pl.directory_lock(tmp_path)
-        first_inode = []
-        real_kill = os.kill
-
-        def probe_then_let_first_run_reclaim(pid, sig):
-            try:
-                real_kill(pid, sig)
-            except ProcessLookupError:
-                monkeypatch.setattr(os, "kill", real_kill)
-                first.__enter__()
-                first_inode.append(lock.stat().st_ino)
-                raise
-
-        monkeypatch.setattr(os, "kill", probe_then_let_first_run_reclaim)
-        with pytest.raises(pl.LockError, match="locked"):
-            with pl.directory_lock(tmp_path):
-                pass
-        assert first_inode, "the second run never probed the dead holder"
-        assert lock.read_text() == f"{os.getpid()}\n"
-        assert lock.stat().st_ino == first_inode[0]
-        assert [p.name for p in tmp_path.iterdir()] == [pl.LOCK_FILE]
-        first.__exit__(None, None, None)
-        assert not lock.exists()
 
     def test_lock_released_after_failure(self, tmp_path):
         with pytest.raises(pl.MissingInputError):
             pl.run_stage("vocab-build", micro_config(), tmp_path)
-        assert not (tmp_path / pl.LOCK_FILE).exists()
+        with open(tmp_path / pl.LOCK_FILE) as f:
+            fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)  # raises while still held
         pl.run_stage("gen-data", micro_config(), tmp_path)
-        assert not (tmp_path / pl.LOCK_FILE).exists()
+        assert (tmp_path / pl.CORPUS_FILE).exists()
 
 
 class TestMissingInputs:
