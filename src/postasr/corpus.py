@@ -68,14 +68,6 @@ class CorpusConfig:
             raise ValueError("n_sentences must be >= 1")
 
 
-def word_bank() -> tuple[str, ...]:
-    """Every word the grammar can emit, sorted and deduplicated."""
-    words = set()
-    for bank in _SLOTS.values():
-        words.update(bank)
-    return tuple(sorted(words))
-
-
 def generate_corpus(cfg: CorpusConfig) -> list[str]:
     """Deterministic list of distinct sentences, one per line of corpus files."""
     rng = np.random.default_rng(cfg.seed)

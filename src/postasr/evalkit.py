@@ -131,17 +131,6 @@ class AblationReport:
             out.write(f"{label},{dataset},{w:.2f}\n")
         return out.getvalue()
 
-    @staticmethod
-    def parse_csv(text: str) -> "AblationReport":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "system,dataset,wer":
-            raise ValueError("not an ablation report CSV")
-        rows = []
-        for ln in lines[1:]:
-            label, dataset, w = ln.split(",")
-            rows.append((label, dataset, float(w)))
-        return AblationReport(tuple(rows))
-
 
 def ablation_report(runs) -> AblationReport:
     """Build the report from (label, dataset, pairs) runs; labels must be

@@ -145,17 +145,3 @@ def build_weights(spec: ModelSpec, plan: InitPlan, vocab_hash: str | None = None
 
     return InitResult(weights, sources)
 
-
-def make_random_checkpoint(spec: ModelSpec, seed: int = 0, vocab_hash: str | None = None,
-                           std: float = 0.05) -> ck.Checkpoint:
-    """Synthetic encoder checkpoint with dense random tensors, for tests and
-    transfer plumbing. Every tensor is random so copies are detectable."""
-    rng = np.random.default_rng(seed)
-    shapes = param_shapes(spec)
-    meta = spec.to_meta()
-    if vocab_hash is not None:
-        meta["vocab_sha1"] = vocab_hash
-    ckpt = ck.Checkpoint(meta=meta)
-    for name in encoder_tensor_names(spec):
-        ckpt.add(name, rng.normal(0.0, std, size=shapes[name]).astype(np.float32))
-    return ckpt

@@ -6,8 +6,11 @@ projection. At the input the token embedding is multiplied by sqrt(H)
 (Vaswani et al. 2017, section 3.4), so that token identity is not drowned by
 the unit-amplitude sinusoidal positions before the embedding layer norm; the
 tied output projection uses the embedding unscaled. The forward graph is
-built on a numkit tape so the same code path serves training (gradients,
-dropout) and inference (eval mode, no backward pass).
+built on a numkit tape from the same attention code (``_project_heads`` and
+``_attend``) that inference uses: ``correct`` encodes the source once and
+decodes incrementally, feeding only the newest token through the decoder and
+attending over cached self-attention keys/values and cross-attention
+keys/values projected once from the encoder memory.
 
 Tensor names follow the stack.layer.block.tensor scheme used by the
 checkpoint manifest, e.g. ``decoder.1.cross_attn.q.weight``.
@@ -177,25 +180,37 @@ def _mask_const(tape: Tape, mask: np.ndarray, shape) -> Tensor:
     return tape.constant(np.broadcast_to(mask, shape))
 
 
-def _attention(tape, spec, t, prefix, x_q, x_kv, mask, train, seeds):
+def _project_heads(spec, t, prefix, x):
+    """Linear projection ``prefix`` of x (B, T, H), split into heads: (B, A, T, d)."""
+    b, tlen, _ = x.shape
+    y = _linear(x, t[f"{prefix}.weight"], t[f"{prefix}.bias"])
+    return nk.transpose(nk.reshape(y, (b, tlen, spec.A, spec.head_dim)), (0, 2, 1, 3))
+
+
+def _attend(tape, spec, t, prefix, x_q, q, k, v, mask, train, seeds):
+    """Heads q (B, A, Tq, d) over keys and values k, v (B, A, Tk, d), then the
+    output projection and the residual norm around x_q (B, Tq, H).
+
+    The query heads come in projected, so a self-attention block records its
+    q, k and v projections in that order and the gradients reaching x_q add
+    up in the same order whoever calls this.
+    """
     b, tq, h = x_q.shape
-    tk = x_kv.shape[1]
-    a, d = spec.A, spec.head_dim
-
-    def heads(x, tlen):
-        return nk.transpose(nk.reshape(x, (b, tlen, a, d)), (0, 2, 1, 3))
-
-    q = heads(_linear(x_q, t[f"{prefix}.q.weight"], t[f"{prefix}.q.bias"]), tq)
-    k = heads(_linear(x_kv, t[f"{prefix}.k.weight"], t[f"{prefix}.k.bias"]), tk)
-    v = heads(_linear(x_kv, t[f"{prefix}.v.weight"], t[f"{prefix}.v.bias"]), tk)
-
-    scores = nk.mul_scalar(nk.matmul(q, nk.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d))
-    scores = nk.add(scores, _mask_const(tape, mask, (b, a, tq, tk)))
+    tk = k.shape[2]
+    scores = nk.mul_scalar(nk.matmul(q, nk.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(spec.head_dim))
+    scores = nk.add(scores, _mask_const(tape, mask, (b, spec.A, tq, tk)))
     probs = nk.dropout(nk.softmax(scores, axis=-1), spec.P_drop, seeds.next(), train)
     ctx = nk.reshape(nk.transpose(nk.matmul(probs, v), (0, 2, 1, 3)), (b, tq, h))
     out = _linear(ctx, t[f"{prefix}.out.weight"], t[f"{prefix}.out.bias"])
     out = nk.dropout(out, spec.P_drop, seeds.next(), train)
     return nk.layer_norm(nk.add(x_q, out), t[f"{prefix}.norm.gain"], t[f"{prefix}.norm.bias"])
+
+
+def _attention(tape, spec, t, prefix, x_q, x_kv, mask, train, seeds):
+    q = _project_heads(spec, t, f"{prefix}.q", x_q)
+    k = _project_heads(spec, t, f"{prefix}.k", x_kv)
+    v = _project_heads(spec, t, f"{prefix}.v", x_kv)
+    return _attend(tape, spec, t, prefix, x_q, q, k, v, mask, train, seeds)
 
 
 def _ffn(tape, spec, t, prefix, x, train, seeds):
@@ -206,10 +221,11 @@ def _ffn(tape, spec, t, prefix, x, train, seeds):
     return nk.layer_norm(nk.add(x, out), t[f"{prefix}.norm.gain"], t[f"{prefix}.norm.bias"])
 
 
-def _embed(tape, spec, t, ids: np.ndarray, train, seeds):
+def _embed(tape, spec, t, ids: np.ndarray, train, seeds, start: int = 0):
+    """Embed ids (B, T) sitting at positions start .. start + T - 1."""
     b, tlen = ids.shape
     tok = nk.mul_scalar(nk.embedding(t["embed.token"], ids), math.sqrt(spec.H))
-    pos = nk.embedding(t["embed.pos"], np.broadcast_to(np.arange(tlen), (b, tlen)))
+    pos = nk.embedding(t["embed.pos"], np.broadcast_to(np.arange(start, start + tlen), (b, tlen)))
     x = nk.layer_norm(nk.add(tok, pos), t["embed.norm.gain"], t["embed.norm.bias"])
     return nk.dropout(x, spec.P_drop, seeds.next(), train)
 
@@ -317,12 +333,72 @@ def _log_softmax_np(x: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def _decode_step(tape, spec, t, prefix, cache, cross, src_keys, out_proj) -> np.ndarray:
+    """Next-token log-probabilities (rows, V) after each prefix (rows, T).
+
+    Only the newest token runs through the decoder, at position T - 1. Its
+    self-attention keys and values are appended to ``cache`` (per layer, a
+    (k, v) pair of (rows, A, T - 1, d) arrays, replaced by the (rows, A, T, d)
+    result); ``cross`` holds each layer's cross-attention keys and values.
+    Generated pad tokens stay masked as keys, as in ``build_forward``.
+    """
+    rows, tlen = prefix.shape
+    seeds = _Seeds(0)
+    y = _embed(tape, spec, t, prefix[:, -1:], False, seeds, start=tlen - 1)
+    self_keys = _pad_keys(prefix)
+    for l in range(spec.L):
+        p = f"decoder.{l}.self_attn"
+        q = _project_heads(spec, t, f"{p}.q", y)
+        k, v = (np.concatenate([old, _project_heads(spec, t, f"{p}.{proj}", y).value], axis=2)
+                for old, proj in zip(cache[l], "kv"))
+        cache[l] = (k, v)
+        y = _attend(tape, spec, t, p, y, q, tape.constant(k), tape.constant(v), self_keys, False, seeds)
+        p = f"decoder.{l}.cross_attn"
+        q = _project_heads(spec, t, f"{p}.q", y)
+        k, v = (nk.broadcast_to(m, (rows,) + m.shape[1:]) for m in cross[l])
+        y = _attend(tape, spec, t, p, y, q, k, v, src_keys, False, seeds)
+        y = _ffn(tape, spec, t, f"decoder.{l}.ffn", y, False, seeds)
+    return _log_softmax_np(nk.matmul(y, out_proj).value[:, 0, :].astype(np.float64))
+
+
+def _best_candidates(total: np.ndarray, prefixes: list, width: int):
+    """(parent rows, tokens) of the ``width`` best continuations, scored by
+    total (rows, V), in the order of a full sort on (-score, prefix + (token,)).
+
+    Only scores at or above the width-th largest can make the cut, so only
+    those are sorted; ties at that score are all kept and settled by ids.
+    """
+    flat = total.ravel()
+    if flat.size > width:
+        kth = np.partition(flat, flat.size - width)[flat.size - width]
+        cand = np.flatnonzero(flat >= kth)
+    else:
+        cand = np.arange(flat.size)
+    parents, toks = np.divmod(cand, total.shape[1])
+    order = sorted(range(len(cand)),
+                   key=lambda i: (-flat[cand[i]], (*prefixes[parents[i]], toks[i])))[:width]
+    return parents[order], toks[order]
+
+
+def _at_least_two(rows: np.ndarray) -> np.ndarray:
+    """Pad a lone row with a copy of itself.
+
+    A one-row float32 matrix product runs another BLAS kernel (GEMV) with
+    other rounding, so a hypothesis scored alone would get other bits than
+    the same hypothesis scored next to others; at two rows and up, each row's
+    arithmetic does not depend on the row count.
+    """
+    return np.repeat(rows, 2) if len(rows) == 1 else rows
+
+
 def correct(spec: ModelSpec, weights: dict[str, np.ndarray], src_ids, width: int = 1,
             max_out: int | None = None) -> list[ScoredSequence]:
     """Beam-decode a correction for one source; width 1 is greedy search.
 
     Returns up to ``width`` hypotheses sorted by length-normalized
     log-probability (token count includes the end marker when emitted).
+    The source is encoded once; each step extends every live hypothesis by
+    one token through ``_decode_step``.
     """
     if width < 1:
         raise ValueError(f"beam width must be >= 1, got {width}")
@@ -330,27 +406,34 @@ def correct(spec: ModelSpec, weights: dict[str, np.ndarray], src_ids, width: int
     src = _ids_array(src_ids, spec, "src_ids")
     cap = spec.max_len if max_out is None else min(max_out, spec.max_len)
 
-    live = [((BOS,), 0.0)]
+    tape = Tape()
+    t = {name: tape.constant(arr) for name, arr in weights.items()}
+    memory, src_keys = _encode(tape, spec, t, src, False, _Seeds(0))
+    cross = [tuple(_project_heads(spec, t, f"decoder.{l}.cross_attn.{proj}", memory) for proj in "kv")
+             for l in range(spec.L)]
+    out_proj = nk.transpose(t["embed.token"], (1, 0))
+
+    # One score per live hypothesis; the decoder state (prefix ids and K/V
+    # cache) has a row per live hypothesis and at least two rows.
+    scores = np.zeros(1)
+    prefix = np.full((2, 1), BOS, dtype=np.int64)
+    empty = np.zeros((2, spec.A, 0, spec.head_dim), dtype=tape.dtype)
+    cache = [(empty, empty)] * spec.L
     finished = []
-    while live and len(live[0][0]) < cap:
-        batch = np.asarray([ids for ids, _ in live], dtype=np.int64)
-        tape = Tape()
-        tensors = {name: tape.constant(arr) for name, arr in weights.items()}
-        logits = build_forward(tape, spec, tensors, np.repeat(src, len(live), axis=0),
-                               batch, train=False, seed=0)
-        logp = _log_softmax_np(logits.value[:, -1, :].astype(np.float64))
-        cands = []
-        for i, (ids, score) in enumerate(live):
-            for tok in range(spec.V):
-                cands.append((score + logp[i, tok], ids + (tok,)))
-        cands.sort(key=lambda c: (-c[0], c[1]))
-        live = []
-        for score, ids in cands[:width]:
-            if ids[-1] == EOS:
-                finished.append((ids, score))
-            else:
-                live.append((ids, score))
-    finished.extend(live)
+    while len(scores) and prefix.shape[1] < cap:
+        logp = _decode_step(tape, spec, t, prefix, cache, cross, src_keys, out_proj)
+        total = scores[:, None] + logp[: len(scores)]
+        parents, toks = _best_candidates(total, prefix.tolist(), width)
+        ids = np.concatenate([prefix[parents], toks[:, None]], axis=1)
+        new_scores = total[parents, toks]
+        ended = toks == EOS
+        finished += zip(map(tuple, ids[ended].tolist()), new_scores[ended])
+        alive = np.flatnonzero(~ended)
+        rows = _at_least_two(alive)
+        scores = new_scores[alive]
+        prefix = ids[rows]
+        cache = [(k[parents[rows]], v[parents[rows]]) for k, v in cache]
+    finished += zip(map(tuple, prefix[: len(scores)].tolist()), scores)
 
     out = []
     for ids, score in finished:

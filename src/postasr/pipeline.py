@@ -483,16 +483,28 @@ _spec_from_meta = ModelSpec.from_meta  # the name the benchmark calls
 
 
 def _apply_corrector(spec: ModelSpec, weights, vocab: wp.Vocab, pairs, width: int):
-    """Run the corrector over pair sources; returns corrected ParallelPairs."""
-    out = []
+    """Run the corrector over pair sources: (corrected ParallelPairs, diagnostics).
+
+    The diagnostics count distinct outputs, the mean output length in
+    pieces, the outputs cut at the length cap (``spec.max_len`` less the
+    start marker) and the sentences whose WER the correction raised.
+    """
+    out, lengths = [], []
     for p in pairs:
         src = encode_pair(vocab, p.source, "", spec.max_len, spec.max_len).src
         best = correct(spec, weights, src, width=width)[0]
         text = wp.decode(vocab, best.ids)
+        lengths.append(len(best.ids))
         out.append(datagen.ParallelPair(
             source=text, target=p.target, wer=evalkit.wer(p.target, text).rate,
             fold=p.fold, tag=CORRECTED_TAG, seed=p.seed))
-    return out
+    diagnostics = {
+        "distinct_outputs": len({p.source for p in out}),
+        "mean_output_tokens": round(sum(lengths) / len(lengths), 6),
+        "cap_hits": sum(n == spec.max_len - 1 for n in lengths),
+        "worse_than_input": sum(after.wer > before.wer for before, after in zip(pairs, out)),
+    }
+    return out, diagnostics
 
 
 def _correct_stage(cfg: dict, out_dir: Path) -> StageResult:
@@ -504,14 +516,16 @@ def _correct_stage(cfg: dict, out_dir: Path) -> StageResult:
                           f"but {VOCAB_FILE} hashes to {vocab.content_hash()}")
     eval_pairs = datagen.read_pairs_jsonl(_require(out_dir, EVAL_PAIRS_FILE))
 
-    corrected = _apply_corrector(spec, weights, vocab, eval_pairs, cfg["correct"]["width"])
+    corrected, diagnostics = _apply_corrector(spec, weights, vocab, eval_pairs,
+                                              cfg["correct"]["width"])
     datagen.write_pairs_jsonl(out_dir / CORRECTED_FILE, corrected)
 
     before = evalkit.wer_corpus((p.target, p.source) for p in eval_pairs).rate
     after = evalkit.wer_corpus((p.target, p.source) for p in corrected).rate
     summary = {"pairs": len(corrected),
                "wer_before": round(before, 6),
-               "wer_after": round(after, 6)}
+               "wer_after": round(after, 6),
+               **diagnostics}
     if before > 0:
         summary["relative_reduction"] = round(1.0 - after / before, 6)
     return StageResult(summary, inputs=(VOCAB_FILE, CKPT_DIR, EVAL_PAIRS_FILE),
@@ -569,11 +583,11 @@ def _ablate_stage(cfg: dict, out_dir: Path) -> StageResult:
                 for label, enc_src, dec_src in INIT_CELLS])
     fitted = _fit_cells(spec, vocab, [cell for _, _, cell in cells], tcfg)
 
-    losses, runs = {}, {"data": [], "init": []}
+    losses, diagnostics, runs = {}, {}, {"data": [], "init": []}
     for (table, label, _), (_, result) in zip(cells, fitted):
         losses[f"{table}:{label}"] = round(float(result.losses[-1]), 6)
-        corrected = _apply_corrector(spec, result.weights, vocab, eval_pairs,
-                                     cfg["correct"]["width"])
+        corrected, diagnostics[f"{table}:{label}"] = _apply_corrector(
+            spec, result.weights, vocab, eval_pairs, cfg["correct"]["width"])
         runs[table].append((label, "eval", [(p.target, p.source) for p in corrected]))
     table1 = evalkit.ablation_report(runs["data"])
     table2 = evalkit.ablation_report(runs["init"])
@@ -586,7 +600,7 @@ def _ablate_stage(cfg: dict, out_dir: Path) -> StageResult:
     }
     return StageResult(summary, inputs=(VOCAB_FILE, PAIRS_FILE, EVAL_PAIRS_FILE) + pre_in,
                        outputs=(TABLE1_FILE, TABLE2_FILE) + pre_out,
-                       notes={"final_losses": losses})
+                       notes={"final_losses": losses, "diagnostics": diagnostics})
 
 
 _DEMO_STAGES = ("gen-data", "vocab-build", "lm-fit", "train",

@@ -44,9 +44,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.pieces)
 
-    def id_of(self, piece: str) -> int:
-        return self._ids[piece]
-
     def piece_of(self, idx: int) -> str:
         if not 0 <= idx < len(self.pieces):
             raise ValueError(f"piece id {idx} out of range (vocab size {len(self.pieces)})")

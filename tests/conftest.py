@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from postasr import checkpoint as ck
 from postasr import numkit
+from postasr.model import encoder_tensor_names, param_shapes
 
 
 def finite_difference_check(build, params, h=1e-3, rel_tol=1e-4, max_entries=None, seed=0):
@@ -52,3 +54,17 @@ def finite_difference_check(build, params, h=1e-3, rel_tol=1e-4, max_entries=Non
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def make_random_checkpoint(spec, seed=0, vocab_hash=None, std=0.05):
+    """Synthetic encoder checkpoint with dense random tensors, for transfer
+    tests. Every tensor is random so copies are detectable."""
+    rng = np.random.default_rng(seed)
+    shapes = param_shapes(spec)
+    meta = spec.to_meta()
+    if vocab_hash is not None:
+        meta["vocab_sha1"] = vocab_hash
+    ckpt = ck.Checkpoint(meta=meta)
+    for name in encoder_tensor_names(spec):
+        ckpt.add(name, rng.normal(0.0, std, size=shapes[name]).astype(np.float32))
+    return ckpt

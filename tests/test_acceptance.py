@@ -18,7 +18,7 @@ import pytest
 import test_decoding as oracle_dec
 import test_evalkit as oracle_wer
 import test_ngram as oracle_lm
-from conftest import finite_difference_check
+from conftest import finite_difference_check, make_random_checkpoint
 
 from postasr import channel as ch
 from postasr import cli
@@ -30,7 +30,7 @@ from postasr import wordpiece as wpm
 from postasr.training import TrainConfig, encode_pair, encode_pairs, evaluate_loss, train
 from postasr.decoding import FusionConfig, fused_beam_search
 from postasr.evalkit import wer
-from postasr.initialization import InitPlan, build_weights, make_random_checkpoint, transfer_decoder
+from postasr.initialization import InitPlan, build_weights, transfer_decoder
 from postasr.model import BOS, EOS, PAD, ModelSpec, build_forward, label_smoothed_loss, param_shapes
 
 

@@ -4,12 +4,12 @@ cross-attention duplication, and the four-cell plan matrix."""
 import numpy as np
 import pytest
 
+from conftest import make_random_checkpoint
 from postasr import checkpoint as ck
 from postasr.initialization import (
     InitPlan,
     build_weights,
     init_random,
-    make_random_checkpoint,
     transfer_decoder,
     transfer_encoder,
 )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import finite_difference_check
+from postasr import model
 from postasr.model import (
     BOS,
     EOS,
@@ -288,6 +289,24 @@ def forcing_weights(spec, token):
     return w
 
 
+def teacher_forced_logprob(spec, weights, src, ids, ended):
+    """Sum of the log-probabilities ``forward`` gives BOS + ids (+ EOS)."""
+    full = [BOS, *ids, *([EOS] if ended else [])]
+    rows = forward(spec, weights, src, full[:-1]).astype(np.float64)
+    logp = rows - rows.max(axis=-1, keepdims=True)
+    logp = logp - np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+    return float(logp[np.arange(len(full) - 1), full[1:]].sum())
+
+
+def pad_first_weights():
+    """Weights under which greedy decoding of PAD_SRC emits a pad token
+    first and other tokens after it (the test checks that premise)."""
+    return random_weights(SPEC, seed=35, std=0.4)
+
+
+PAD_SRC = [4, 5, 6]
+
+
 class TestCorrect:
     def test_width_validation(self):
         with pytest.raises(ValueError, match="width"):
@@ -344,3 +363,40 @@ class TestCorrect:
         scores = [h.normalized for h in out]
         assert scores == sorted(scores, reverse=True)
         assert len({h.ids for h in out}) == 4
+
+    def test_generated_pad_stays_masked(self):
+        w, cap = pad_first_weights(), 8
+        greedy = correct(SPEC, w, PAD_SRC, width=1, max_out=cap)[0]
+        assert greedy.ids[0] == PAD and set(greedy.ids[1:]) - {PAD}
+        ids = [BOS]
+        while len(ids) < cap and ids[-1] != EOS:
+            ids.append(int(np.argmax(forward(SPEC, w, PAD_SRC, ids)[-1])))
+        assert greedy.ids == tuple(ids[1:-1] if ids[-1] == EOS else ids[1:])
+        for h in [greedy] + correct(SPEC, w, PAD_SRC, width=4, max_out=cap):
+            want = teacher_forced_logprob(SPEC, w, PAD_SRC, h.ids, ended=len(h.ids) < cap - 1)
+            assert h.logprob == pytest.approx(want, abs=1e-6)
+
+    def test_scores_do_not_depend_on_beam_width(self):
+        spec = ModelSpec(L=2, H=32, A=4, P_drop=0.0, V=40, max_len=12)
+        rng = np.random.default_rng(11)
+        shared = 0
+        for trial in range(6):
+            w = random_weights(spec, seed=200 + trial, std=0.4)
+            src = rng.integers(4, spec.V, size=rng.integers(2, 8)).tolist()
+            seen = {}
+            for width in (1, 2, 4, 8):
+                for h in correct(spec, w, src, width=width, max_out=8):
+                    shared += h.ids in seen
+                    assert seen.setdefault(h.ids, h.logprob) == h.logprob, (trial, width, h.ids)
+        assert shared > 0
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_encodes_once_and_builds_no_forward_graph(self, monkeypatch, width):
+        calls = dict.fromkeys(("_encode", "build_forward"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(model, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(model, name, counted)
+        correct(SPEC, WEIGHTS, [4, 5, 6, 7], width=width, max_out=10)
+        assert calls == {"_encode": 1, "build_forward": 0}

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_evalkit import read_table
 from postasr import datagen, evalkit
 from postasr import pipeline as pl
 from postasr import wordpiece as wp
@@ -41,6 +42,9 @@ REMOVED_FIELDS = (
     ("ablate", "variant", "+both"),
     ("ablate", "width", 1),
 )
+
+
+DIAGNOSTICS = ("distinct_outputs", "mean_output_tokens", "cap_hits", "worse_than_input")
 
 
 def micro_config(**overrides):
@@ -213,6 +217,21 @@ class TestTrainAndCorrect:
             assert after.tag == pl.CORRECTED_TAG
             assert after.wer == pytest.approx(evalkit.wer(after.target, after.source).rate)
 
+    def test_correct_summary_has_diagnostics(self, demo_dir):
+        eval_pairs = datagen.read_pairs_jsonl(demo_dir / pl.EVAL_PAIRS_FILE)
+        corrected = datagen.read_pairs_jsonl(demo_dir / pl.CORRECTED_FILE)
+        summary = json.loads((demo_dir / pl.REPORT_FILE).read_text())["stages"]["correct"]
+        record = next(r for r in pl.read_manifest(demo_dir) if r["subcommand"] == "correct")
+        assert record["summary"] == summary
+        n, cap = len(corrected), MICRO["model"]["max_len"]
+        assert set(DIAGNOSTICS) <= set(summary)
+        assert 1 <= summary["distinct_outputs"] <= n
+        assert summary["distinct_outputs"] == len({p.source for p in corrected})
+        assert 0 <= summary["mean_output_tokens"] <= cap - 1
+        assert 0 <= summary["cap_hits"] <= n
+        assert summary["worse_than_input"] == sum(
+            after.wer > before.wer for before, after in zip(eval_pairs, corrected))
+
     def test_vocab_swap_detected(self, demo_dir, tmp_path):
         import shutil
 
@@ -268,13 +287,20 @@ class TestDecodeAndEval:
 
 class TestAblate:
     def test_tables_have_expected_cells(self, demo_dir):
-        t1 = evalkit.AblationReport.parse_csv((demo_dir / pl.TABLE1_FILE).read_text())
-        t2 = evalkit.AblationReport.parse_csv((demo_dir / pl.TABLE2_FILE).read_text())
-        assert [r[0] for r in t1.rows] == list(datagen.VARIANTS)
-        assert [r[0] for r in t2.rows] == [c[0] for c in pl.INIT_CELLS]
-        for _, dataset, value in t1.rows + t2.rows:
+        t1 = read_table((demo_dir / pl.TABLE1_FILE).read_text())
+        t2 = read_table((demo_dir / pl.TABLE2_FILE).read_text())
+        assert [r[0] for r in t1] == list(datagen.VARIANTS)
+        assert [r[0] for r in t2] == [c[0] for c in pl.INIT_CELLS]
+        for _, dataset, value in t1 + t2:
             assert dataset == "eval"
             assert 0.0 <= value
+
+    def test_every_cell_has_corrector_diagnostics(self, demo_dir):
+        record = next(r for r in pl.read_manifest(demo_dir) if r["subcommand"] == "ablate")
+        cells = record["notes"]["diagnostics"]
+        assert set(cells) == set(record["notes"]["final_losses"])
+        for diagnostics in cells.values():
+            assert set(diagnostics) == set(DIAGNOSTICS)
 
 
 class TestManifest:

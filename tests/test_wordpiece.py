@@ -52,8 +52,8 @@ class TestBuildVocab:
     def test_reserved_ids_fixed(self):
         vocab = build_vocab(["some words here"], 64)
         assert vocab.pieces[:4] == RESERVED
-        assert vocab.id_of("<pad>") == 0
-        assert vocab.id_of("<unk>") == 1
+        assert vocab.pieces.index("<pad>") == 0
+        assert vocab.pieces.index("<unk>") == 1
 
 
 class TestEncode:
@@ -82,7 +82,7 @@ class TestEncode:
 class TestDecode:
     def test_continuation_joins(self):
         vocab = make_vocab(["ab", "##b"])
-        assert decode(vocab, [vocab.id_of("ab"), vocab.id_of("##b")]) == "abb"
+        assert decode(vocab, [vocab.pieces.index("ab"), vocab.pieces.index("##b")]) == "abb"
 
     def test_empty(self):
         vocab = make_vocab(["a"])
@@ -134,9 +134,7 @@ class TestVocabFile:
         vocab = build_vocab(["abc"], 16)
         path = tmp_path / "vocab.txt"
         vocab.save(path)
-        lines = path.read_text().splitlines()
-        for i, piece in enumerate(lines):
-            assert vocab.id_of(piece) == i
+        assert path.read_text().splitlines() == list(vocab.pieces)
 
 
 class TestCoverage:
