@@ -51,7 +51,7 @@ class ChannelConfig:
 
     def __post_init__(self):
         if not 0 <= self.del_prob <= 1 or not 0 <= self.ins_prob <= 1:
-            raise ValueError("deletion/insertion probabilities must be in [0, 1]")
+            raise ValueError("del_prob and ins_prob must be in [0, 1]")
         if self.dropout_strength < 0:
             raise ValueError("dropout_strength must be >= 0")
         if not 0 <= self.cutout_rate <= 1:

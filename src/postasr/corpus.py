@@ -100,11 +100,16 @@ def load_corpus(path) -> list[str]:
         return [line for line in f.read().splitlines() if line]
 
 
+def eval_count(n_sentences: int, eval_fraction: float) -> int:
+    """Sentences that ``train_eval_split`` holds out: at least one."""
+    return max(1, int(round(n_sentences * eval_fraction)))
+
+
 def train_eval_split(sentences, eval_fraction: float, seed: int):
     """Seeded shuffle split; evaluation sentences never enter datagen."""
     if not 0.0 < eval_fraction < 1.0:
         raise ValueError("eval_fraction must be in (0, 1)")
-    n_eval = max(1, int(round(len(sentences) * eval_fraction)))
+    n_eval = eval_count(len(sentences), eval_fraction)
     if n_eval >= len(sentences):
         raise ValueError("eval_fraction leaves no training sentences")
     order = np.random.default_rng([seed, 99]).permutation(len(sentences))

@@ -42,6 +42,8 @@ class DataGenConfig:
             raise ValueError("wer_max must be in (0, 1]")
         if self.n_dropout_rounds < 0:
             raise ValueError("n_dropout_rounds must be >= 0")
+        if self.dropout_boost < 0:
+            raise ValueError("dropout_boost must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -58,9 +58,9 @@ class FusionConfig:
 
     def __post_init__(self):
         if self.width < 1:
-            raise ValueError("beam width must be >= 1")
+            raise ValueError("width (the beam width) must be >= 1")
         if self.lam < 0:
-            raise ValueError("lm weight must be >= 0")
+            raise ValueError("lam (the LM weight) must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -113,7 +113,8 @@ def build_weights(spec: ModelSpec, plan: InitPlan, vocab_hash: str | None = None
     """Assemble a full weight set for one ablation cell.
 
     The shared embedding block comes from the checkpoint whenever either
-    stack is pretrained (token table only if the vocabularies match).
+    stack is pretrained. A checkpoint whose vocabulary hash differs from
+    ``vocab_hash`` raises ValueError, since its token table cannot transfer.
     """
     weights = init_random(spec, std=plan.std, seed=plan.seed)
     sources = {name: "random" for name in weights}

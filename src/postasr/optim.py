@@ -21,7 +21,6 @@ class OptimizerConfig:
     beta2: float = 0.25
     eps: float = 1e-8
     weight_decay: float = 0.0
-    total_steps: int = 1000
     poly_power: float = 1.0
 
     def __post_init__(self):
@@ -29,12 +28,12 @@ class OptimizerConfig:
             raise ValueError("beta1 and beta2 must be in [0, 1)")
         if self.lr0 <= 0:
             raise ValueError("lr0 must be > 0")
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
         if self.eps <= 0:
             raise ValueError("eps must be > 0")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be >= 0")
+        if self.poly_power < 0:
+            raise ValueError("poly_power must be >= 0")
 
 
 @dataclass
@@ -52,13 +51,13 @@ def init_state(params: dict[str, np.ndarray]) -> OptimizerState:
     )
 
 
-def poly_decay(step: int, cfg: OptimizerConfig) -> float:
-    """lr0 * (1 - step/total)^power, clamped to 0 past the horizon."""
+def poly_decay(step: int, cfg: OptimizerConfig, total_steps: int) -> float:
+    """lr0 * (1 - step/total_steps)^power, clamped to 0 past the horizon."""
     if step < 0:
         raise ValueError("step must be >= 0")
-    if step >= cfg.total_steps:
+    if step >= total_steps:
         return 0.0
-    return cfg.lr0 * (1.0 - step / cfg.total_steps) ** cfg.poly_power
+    return cfg.lr0 * (1.0 - step / total_steps) ** cfg.poly_power
 
 
 def novograd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],

@@ -16,6 +16,7 @@ import dataclasses
 import fcntl
 import hashlib
 import json
+import math
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -24,9 +25,12 @@ from . import channel as chan
 from . import checkpoint as ck
 from . import datagen, evalkit, ngram
 from . import wordpiece as wp
+from .corpus import (CorpusConfig, eval_count, generate_corpus, load_corpus, save_corpus,
+                     train_eval_split)
 from .decoding import FusionConfig, ctc_greedy, fused_beam_search, write_nbest_jsonl
-from .initialization import InitPlan, build_weights
-from .model import ModelSpec, correct
+from .initialization import INIT_SOURCES, InitPlan, build_weights
+from .model import LossConfig, ModelSpec, correct
+from .optim import OptimizerConfig
 from .training import (TrainConfig, encode_pair, encode_pairs,
                        load_training_checkpoint, make_pretrained_checkpoint,
                        save_training_checkpoint, train)
@@ -138,69 +142,88 @@ SCALE_PRESETS: dict[str, dict] = {
 }
 
 
-def _deep_merge(base: dict, over: dict, prefix: str = "") -> dict:
-    """Override leaves of `base`; unknown keys are rejected by name."""
+def _fits(default, val) -> bool:
+    if isinstance(val, bool) != isinstance(default, bool):
+        return False
+    if isinstance(val, float) and not math.isfinite(val):
+        return False  # NaN and Infinity, which Python's json reads but JSON lacks
+    if isinstance(default, list):
+        return (isinstance(val, list) and len(val) == len(default)
+                and all(_fits(d, v) for d, v in zip(default, val)))
+    return isinstance(val, (int, float) if isinstance(default, float) else type(default))
+
+
+def _deep_merge(base: dict, over: dict, defaults: dict = _DEFAULTS, prefix: str = "") -> dict:
+    """Override leaves of ``base``; unknown keys and leaves not of their
+    default's JSON type are rejected by name. A float leaf also takes an
+    int, a list takes as many items as its default, a boolean passes only
+    where the default is one, and no number may be NaN or infinite."""
     out = dict(base)
     for key, val in over.items():
         path = f"{prefix}{key}"
-        if key not in base:
+        if key not in defaults:
             raise ConfigError(f"unknown config field: {path}")
-        cur = base[key]
-        if isinstance(cur, dict):
+        default = defaults[key]
+        if isinstance(default, dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"config field {path} must be a section, got {type(val).__name__}")
-            out[key] = _deep_merge(cur, val, prefix=path + ".")
+            out[key] = _deep_merge(base[key], val, default, prefix=path + ".")
+        elif not _fits(default, val):
+            raise ConfigError(f"config field {path} must have the type of its default "
+                              f"{json.dumps(default)}, got {json.dumps(val)}")
         else:
             out[key] = val
     return out
 
 
-def _expect(cfg: dict, path: str, kinds, pred=None, what: str = "") -> None:
-    node = cfg
-    for part in path.split("."):
-        node = node[part]
-    if isinstance(node, bool) and bool not in (kinds if isinstance(kinds, tuple) else (kinds,)):
-        raise ConfigError(f"config field {path} must be {what or 'a number'}, got a boolean")
-    if not isinstance(node, kinds):
-        raise ConfigError(f"config field {path} has wrong type: {type(node).__name__}")
-    if pred is not None and not pred(node):
-        raise ConfigError(f"config field {path} is out of range: {node!r}" + (f" ({what})" if what else ""))
+# Ranges of the leaves that no typed config checks.
+_RANGES = (
+    ("seed", lambda v: v >= 0, "must be >= 0"),
+    ("corpus.n_sentences", lambda v: v >= 10, "must be >= 10"),
+    ("corpus.eval_fraction", lambda v: 0 < v < 1, "must be in (0, 1)"),
+    ("vocab.target_size", lambda v: v > len(wp.RESERVED), f"must be > {len(wp.RESERVED)}"),
+    ("channel.target_wer", lambda v: 0 < v < 1, "must be in (0, 1)"),
+    ("channel.calibration_sentences", lambda v: v >= 1, "must be >= 1"),
+    ("data.variant", lambda v: v in datagen.VARIANTS, f"must be one of {datagen.VARIANTS}"),
+    ("train.encoder_init", lambda v: v in INIT_SOURCES, f"must be one of {INIT_SOURCES}"),
+    ("train.decoder_init", lambda v: v in INIT_SOURCES, f"must be one of {INIT_SOURCES}"),
+    ("lm.order", lambda v: v >= 1, "must be >= 1"),
+    ("lm.discount", lambda v: 0 <= v < 1, "must be in [0, 1)"),
+    ("correct.width", lambda v: v >= 1, "must be >= 1"),
+    ("eval.pairs", bool, "must not be empty"),
+)
 
 
 def validate_config(cfg: dict) -> None:
-    num = (int, float)
-    _expect(cfg, "seed", int, lambda v: v >= 0, "seed must be >= 0")
-    _expect(cfg, "corpus.n_sentences", int, lambda v: v >= 10)
-    _expect(cfg, "corpus.eval_fraction", num, lambda v: 0 < v < 1)
-    _expect(cfg, "vocab.target_size", int, lambda v: v > len(wp.RESERVED))
-    _expect(cfg, "channel.target_wer", num, lambda v: 0 < v < 1)
-    _expect(cfg, "channel.calibration_sentences", int, lambda v: v >= 1)
-    _expect(cfg, "data.folds", int, lambda v: v >= 2)
-    _expect(cfg, "data.n_dropout_rounds", int, lambda v: v >= 0)
-    _expect(cfg, "data.wer_max", num, lambda v: 0 < v <= 1)
-    if cfg["data"]["variant"] not in datagen.VARIANTS:
-        raise ConfigError(f"config field data.variant must be one of {datagen.VARIANTS}")
-    for field in ("L", "H", "A", "max_len", "ffn_mult"):
-        _expect(cfg, f"model.{field}", int, lambda v: v >= 1)
-    if cfg["model"]["H"] % cfg["model"]["A"] != 0:
-        raise ConfigError(
-            f"config field model.H must be divisible by model.A "
-            f"(H={cfg['model']['H']}, A={cfg['model']['A']})")
-    _expect(cfg, "model.P_drop", num, lambda v: 0 <= v < 1)
-    _expect(cfg, "train.steps", int, lambda v: v >= 1)
-    _expect(cfg, "train.token_budget", int, lambda v: v >= 2)
-    _expect(cfg, "train.pretrain_steps", int, lambda v: v >= 1)
-    _expect(cfg, "train.smoothing", num, lambda v: 0 <= v < 1)
-    for field in ("encoder_init", "decoder_init"):
-        if cfg["train"][field] not in ("random", "pretrained"):
-            raise ConfigError(f"config field train.{field} must be 'random' or 'pretrained'")
-    _expect(cfg, "lm.order", int, lambda v: v >= 1)
-    _expect(cfg, "lm.discount", num, lambda v: 0 <= v < 1)
-    _expect(cfg, "decode.lam", num, lambda v: v >= 0)
-    _expect(cfg, "decode.width", int, lambda v: v >= 1)
-    _expect(cfg, "correct.width", int, lambda v: v >= 1)
-    _expect(cfg, "eval.pairs", str, lambda v: bool(v))
-    _expect(cfg, "ablate.steps", int, lambda v: v >= 1)
+    """Range-check a merged config by building the typed configs the stages
+    run with (``vocab.target_size`` standing in for the vocabulary size)."""
+    for path, ok, rule in _RANGES:
+        section, _, field = path.rpartition(".")
+        val = cfg[section][field] if section else cfg[field]
+        if not ok(val):
+            raise ConfigError(f"config field {path} {rule}, got {val!r}")
+    m, t = cfg["model"], cfg["train"]
+    if m["A"] >= 1 and m["H"] % m["A"]:  # ModelSpec's rule, restated to name both fields
+        raise ConfigError(f"config field model.H must be divisible by model.A "
+                          f"(H={m['H']}, A={m['A']})")
+    for section, build in (
+            ("model", lambda: _model_spec(cfg, cfg["vocab"]["target_size"])),
+            ("train", lambda: _train_config(cfg, t["steps"])),
+            ("train (pretrain_steps)", lambda: _train_config(cfg, t["pretrain_steps"])),
+            ("train", lambda: LossConfig(smoothing=t["smoothing"])),
+            ("ablate", lambda: _train_config(cfg, cfg["ablate"]["steps"])),
+            ("decode", lambda: FusionConfig(**cfg["decode"])),
+            ("channel", lambda: _channel_base(cfg)),
+            ("data", lambda: list(datagen._rounds(_datagen_config(cfg), _channel_base(cfg))))):
+        try:
+            build()
+        except ValueError as e:
+            raise ConfigError(f"config section {section}: {e}") from None
+    n, folds = cfg["corpus"]["n_sentences"], cfg["data"]["folds"]
+    n_train = n - eval_count(n, cfg["corpus"]["eval_fraction"])
+    if folds > n_train:
+        raise ConfigError(f"config field data.folds ({folds}) exceeds the {n_train} training "
+                          f"sentences of corpus.n_sentences and corpus.eval_fraction")
 
 
 def load_config_file(path) -> dict:
@@ -333,15 +356,13 @@ def _model_spec(cfg: dict, vocab_size: int) -> ModelSpec:
 
 def _train_config(cfg: dict, steps: int) -> TrainConfig:
     t = cfg["train"]
-    return TrainConfig(steps=steps, token_budget=t["token_budget"], lr0=t["lr0"],
-                       beta1=t["beta1"], beta2=t["beta2"],
-                       weight_decay=t["weight_decay"], poly_power=t["poly_power"],
-                       smoothing=t["smoothing"], seed=cfg["seed"])
+    optim = OptimizerConfig(lr0=t["lr0"], beta1=t["beta1"], beta2=t["beta2"],
+                            weight_decay=t["weight_decay"], poly_power=t["poly_power"])
+    return TrainConfig(steps=steps, token_budget=t["token_budget"], smoothing=t["smoothing"],
+                       seed=cfg["seed"], optim=optim)
 
 
 def _gen_data(cfg: dict, out_dir: Path) -> StageResult:
-    from .corpus import CorpusConfig, generate_corpus, save_corpus, train_eval_split
-
     seed = cfg["seed"]
     sentences = generate_corpus(CorpusConfig(n_sentences=cfg["corpus"]["n_sentences"], seed=seed))
     train_s, eval_s = train_eval_split(sentences, cfg["corpus"]["eval_fraction"], seed)
@@ -386,18 +407,19 @@ def _gen_data(cfg: dict, out_dir: Path) -> StageResult:
 
 
 def _vocab_build(cfg: dict, out_dir: Path) -> StageResult:
-    from .corpus import load_corpus
-
     sentences = load_corpus(_require(out_dir, CORPUS_FILE))
-    vocab = wp.build_vocab(sentences, cfg["vocab"]["target_size"])
+    try:
+        vocab = wp.build_vocab(sentences, cfg["vocab"]["target_size"])
+    except ValueError as e:
+        if not sentences:  # an empty corpus file is a broken artifact, not a config fault
+            raise
+        raise ConfigError(f"config field vocab.target_size does not fit {CORPUS_FILE}: {e}") from None
     vocab.save(out_dir / VOCAB_FILE)
     summary = {"pieces": len(vocab), "vocab_sha1": vocab.content_hash()}
     return StageResult(summary, inputs=(CORPUS_FILE,), outputs=(VOCAB_FILE,))
 
 
 def _lm_fit(cfg: dict, out_dir: Path) -> StageResult:
-    from .corpus import load_corpus
-
     sentences = load_corpus(_require(out_dir, CORPUS_FILE))
     model = ngram.fit(sentences, order=cfg["lm"]["order"], discount=cfg["lm"]["discount"])
     ngram.save_arpa(model, out_dir / LM_FILE)
@@ -412,8 +434,6 @@ def _ensure_pretrained(cfg: dict, out_dir: Path, spec: ModelSpec,
     Returns the checkpoint path and the manifest entries it adds: a reused
     checkpoint is an input; a created one is an output made from the corpus.
     """
-    from .corpus import load_corpus
-
     path = out_dir / PRETRAINED_DIR
     if (path / ck.MANIFEST_NAME).exists():
         return path, (PRETRAINED_DIR,), ()
@@ -533,13 +553,11 @@ def _correct_stage(cfg: dict, out_dir: Path) -> StageResult:
 
 
 def _decode_stage(cfg: dict, out_dir: Path) -> StageResult:
-    from .corpus import load_corpus
-
     lm = ngram.load_arpa(_require(out_dir, LM_FILE))
     eval_s = load_corpus(_require(out_dir, EVAL_CORPUS_FILE))
     base = chan.config_from_json(_require(out_dir, CHANNEL_FILE).read_text())
     eval_cc = dataclasses.replace(base, seed=_derived_seed(cfg["seed"], _EVAL_CHANNEL_KEY))
-    fusion = FusionConfig(lam=cfg["decode"]["lam"], width=cfg["decode"]["width"])
+    fusion = FusionConfig(**cfg["decode"])
 
     nbests, greedy_pairs, fused_pairs = [], [], []
     for s in eval_s:

@@ -34,33 +34,19 @@ from .wordpiece import encode as wp_encode
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """``steps`` is also the length of the learning-rate schedule."""
+
     steps: int
     token_budget: int = 2000
-    lr0: float = 0.001
-    beta1: float = 0.95
-    beta2: float = 0.25
-    eps: float = 1e-8
-    weight_decay: float = 0.0
-    poly_power: float = 1.0
     smoothing: float = 0.1
     seed: int = 0
+    optim: OptimizerConfig = OptimizerConfig()
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.token_budget < 2:
             raise ValueError("token_budget must be >= 2")
-
-    def optimizer(self) -> OptimizerConfig:
-        return OptimizerConfig(
-            lr0=self.lr0,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-            weight_decay=self.weight_decay,
-            total_steps=self.steps,
-            poly_power=self.poly_power,
-        )
 
 
 @dataclass(frozen=True)
@@ -156,7 +142,6 @@ def _run_steps(params: dict[str, np.ndarray], encoded: list[EncodedPair], cfg: T
     batches. ``stop(step, params)`` may end the run after any step.
     """
     state = init_state(params)
-    ocfg = cfg.optimizer()
     losses: list[float] = []
     step = epoch = 0
     while step < cfg.steps:
@@ -171,7 +156,8 @@ def _run_steps(params: dict[str, np.ndarray], encoded: list[EncodedPair], cfg: T
                 continue
             tape.backward(loss)
             grads = {n: tensors[n].grad for n in params}
-            params, state = novograd_step(params, grads, state, ocfg, poly_decay(step, ocfg))
+            params, state = novograd_step(params, grads, state, cfg.optim,
+                                          poly_decay(step, cfg.optim, cfg.steps))
             losses.append(float(loss.value))
             step += 1
             if log is not None:

@@ -32,6 +32,7 @@ from postasr.decoding import FusionConfig, fused_beam_search
 from postasr.evalkit import wer
 from postasr.initialization import InitPlan, build_weights, transfer_decoder
 from postasr.model import BOS, EOS, PAD, ModelSpec, build_forward, label_smoothed_loss, param_shapes
+from postasr.optim import OptimizerConfig
 
 
 def report(n, detail):
@@ -253,8 +254,8 @@ class TestCriterion8:
         encoded = [encode_pair(vocab, src, tgt, spec.max_len, spec.max_len) for src, tgt in pairs]
 
         cfg = TrainConfig(
-            steps=2000, token_budget=4000, lr0=0.001, beta1=0.95, beta2=0.25,
-            smoothing=0.0, seed=8,
+            steps=2000, token_budget=4000, smoothing=0.0, seed=8,
+            optim=OptimizerConfig(lr0=0.001, beta1=0.95, beta2=0.25),
         )
         weights = build_weights(spec, InitPlan(seed=8)).weights
         result = train(spec, weights, encoded, cfg, stop_threshold=0.1, check_every=25)

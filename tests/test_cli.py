@@ -150,3 +150,41 @@ def test_ablate_on_a_stale_pretrained_checkpoint_exits_3(tmp_path, capsys):
     assert "initialization failed" in capsys.readouterr().err
     for name, before in tables.items():
         assert (out / name).read_bytes() == before
+
+
+def _config_file(tmp_path, doc):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# A config that fails validation: the scale, the file's content, and a
+# text the error must contain.
+REJECTED_BEFORE_WRITING = (
+    ("tiny", {"channel": {"del_prob": 2}}, "config section channel"),
+    ("tiny", {"train": {"lr0": True}}, "train.lr0"),
+    # 10 sentences less 2 held out leave 8 for the small preset's 10 folds.
+    ("small", {"corpus": {"n_sentences": 10}}, "data.folds"),
+)
+
+
+@pytest.mark.parametrize("scale,doc,named", REJECTED_BEFORE_WRITING,
+                         ids=["del_prob", "boolean_lr0", "folds"])
+def test_rejected_config_exits_3_before_writing(tmp_path, capsys, scale, doc, named):
+    out = tmp_path / "out"
+    code = main(["gen-data", "--scale", scale, "--config", _config_file(tmp_path, doc),
+                 "--out-dir", str(out)])
+    assert code == 3
+    assert named in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_vocab_below_character_floor_exits_3(tmp_path, micro_cfg_file, capsys):
+    out = str(tmp_path / "out")
+    assert main(["gen-data", "--scale", "tiny", "--config", micro_cfg_file, "--out-dir", out]) == 0
+    capsys.readouterr()
+    config = _config_file(tmp_path, {**MICRO, "vocab": {"target_size": 10}})
+    code = main(["vocab-build", "--scale", "tiny", "--config", config, "--out-dir", out])
+    assert code == 3
+    assert "vocab.target_size" in capsys.readouterr().err
+    assert not (tmp_path / "out" / pl.VOCAB_FILE).exists()

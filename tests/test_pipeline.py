@@ -3,6 +3,7 @@
 import fcntl
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -42,6 +43,38 @@ REMOVED_FIELDS = (
     ("ablate", "variant", "+both"),
     ("ablate", "width", 1),
 )
+
+
+# Leaves whose range only a typed config checks, each with a value it
+# rejects; the message names the config section and the field.
+TYPED_RULES = (
+    ("channel", "del_prob", 2),
+    ("channel", "ins_prob", -0.1),
+    ("channel", "cutout_len", [5, 2]),
+    ("data", "dropout_boost", -1),
+    ("data", "cutout_rate", 5),
+    ("train", "lr0", 0),
+    ("train", "beta1", 1.5),
+    ("train", "beta2", -0.5),
+    ("train", "weight_decay", -1),
+    ("train", "poly_power", -1),
+)
+
+
+def config_leaves(tree, prefix=""):
+    """(dotted path, default) of every leaf of a config tree."""
+    for key, val in tree.items():
+        if isinstance(val, dict):
+            yield from config_leaves(val, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", val
+
+
+def nested(path, value):
+    """The config overriding the leaf at dotted ``path`` with ``value``."""
+    for part in reversed(path.split(".")):
+        value = {part: value}
+    return value
 
 
 DIAGNOSTICS = ("distinct_outputs", "mean_output_tokens", "cap_hits", "worse_than_input")
@@ -93,8 +126,37 @@ class TestConfig:
         assert cfg["seed"] == 9
 
     def test_boolean_rejected_for_numeric_field(self):
-        with pytest.raises(pl.ConfigError, match="train.steps"):
-            pl.effective_config("tiny", file_config={"train": {"steps": True}})
+        numeric = [path for path, default in config_leaves(pl._DEFAULTS)
+                   if isinstance(default, (int, float))]
+        assert len(numeric) == 34
+        for path in numeric:
+            for bad in (True, "x", float("nan"), float("inf")):
+                with pytest.raises(pl.ConfigError, match=re.escape(path)):
+                    pl.effective_config("tiny", file_config=nested(path, bad))
+
+    @pytest.mark.parametrize("value", [[2], [2, 5, 7], [2.0, 5], [True, 5], "2-5"])
+    def test_cutout_len_needs_two_integers(self, value):
+        with pytest.raises(pl.ConfigError, match="channel.cutout_len"):
+            pl.effective_config("tiny", file_config={"channel": {"cutout_len": value}})
+
+    def test_float_leaf_takes_an_integer(self):
+        cfg = pl.effective_config("tiny", file_config={"train": {"lr0": 1}},
+                                  overrides={"train": {"lr0": 0.5}})
+        assert cfg["train"]["lr0"] == 0.5
+
+    @pytest.mark.parametrize("section,field,value", TYPED_RULES,
+                             ids=[f"{s}.{f}" for s, f, _ in TYPED_RULES])
+    def test_typed_config_rule_applies(self, section, field, value):
+        with pytest.raises(pl.ConfigError, match=f"config section {section}: .*{field}"):
+            pl.effective_config("tiny", file_config={section: {field: value}})
+
+    def test_folds_beyond_training_sentences_rejected(self):
+        # 10 sentences less 2 held out leave 8 for the default 10 folds.
+        with pytest.raises(pl.ConfigError, match="data.folds"):
+            pl.effective_config("small", file_config={"corpus": {"n_sentences": 10}})
+        cfg = pl.effective_config("small", file_config={"corpus": {"n_sentences": 10},
+                                                        "data": {"folds": 8}})
+        assert cfg["data"]["folds"] == 8
 
     def test_config_file_errors(self, tmp_path):
         with pytest.raises(pl.MissingInputError):

@@ -6,6 +6,7 @@ import pytest
 from postasr import checkpoint as ck
 from postasr.initialization import InitPlan, build_weights, init_random, transfer_encoder
 from postasr.model import BOS, EOS, PAD, ModelSpec
+from postasr.optim import OptimizerConfig, poly_decay
 from postasr.training import (
     EncodedPair,
     TrainConfig,
@@ -44,11 +45,11 @@ class TestConfig:
             TrainConfig(steps=10, token_budget=1)
 
     def test_optimizer_mapping(self):
-        cfg = TrainConfig(steps=77, lr0=0.01, beta2=0.5)
-        ocfg = cfg.optimizer()
-        assert ocfg.total_steps == 77
-        assert ocfg.lr0 == 0.01
-        assert ocfg.beta2 == 0.5
+        cfg = TrainConfig(steps=77, optim=OptimizerConfig(lr0=0.01, beta2=0.5))
+        assert (cfg.optim.lr0, cfg.optim.beta2) == (0.01, 0.5)
+        # The learning-rate schedule runs over exactly the training steps.
+        assert poly_decay(76, cfg.optim, cfg.steps) > 0.0
+        assert poly_decay(77, cfg.optim, cfg.steps) == 0.0
 
 
 class TestEncoding:
