@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 
 import numpy as np
@@ -80,6 +82,36 @@ class ChannelConfig:
         scaled[c] = 1.0 - spill
         return scaled
 
+    # Per-character tables built from noise_row on first use. They live in
+    # the instance __dict__, not in the fields, so equality, replace() and
+    # config_to_json see only the fields, and a replaced config builds its own.
+    @cached_property
+    def _draws(self) -> dict[str, tuple[str, list[float]]]:
+        """c -> (targets, cdf) for corrupt(): targets in sorted order and the
+        normalized cumulative distribution that ``Generator.choice(p=...)``
+        builds from the same row."""
+        table = {}
+        for c in self.alphabet:
+            row = self.noise_row(c)
+            targets = "".join(sorted(row))
+            probs = np.array([row[x] for x in targets])
+            cdf = np.cumsum(probs / probs.sum())
+            cdf /= cdf[-1]
+            table[c] = (targets, cdf.tolist())
+        return table
+
+    @cached_property
+    def _lattice_rows(self) -> dict[str, np.ndarray]:
+        """c -> its capped soft row over lattice_chars() for emit_lattice()."""
+        index = {x: i for i, x in enumerate(lattice_chars(self.alphabet))}
+        rows = {}
+        for c in self.alphabet:
+            row = np.zeros(len(index))
+            for x, p in self.noise_row(c, cap=_SOFT_CAP).items():
+                row[index[x]] = p
+            rows[c] = row
+        return rows
+
 
 def load_confusion_tsv(path) -> dict[str, dict[str, float]]:
     table: dict[str, dict[str, float]] = {}
@@ -134,16 +166,17 @@ def corrupt(cfg: ChannelConfig, transcript: str) -> str:
     p_del = min(cfg.del_prob * s, 1.0)
     p_ins = min(cfg.ins_prob * s, 1.0)
     letters = cfg.alphabet.replace(" ", "")
+    table = cfg._draws
 
     out = []
     for c in transcript:
         if rng.random() < p_del:
             pass
         else:
-            row = cfg.noise_row(c)
-            targets = sorted(row)
-            probs = np.array([row[x] for x in targets])
-            out.append(targets[rng.choice(len(targets), p=probs / probs.sum())])
+            # bisect_right on the cdf is cdf.searchsorted(u, side="right"),
+            # the draw Generator.choice(p=...) makes: same index, same stream.
+            targets, cdf = table[c]
+            out.append(targets[bisect_right(cdf, rng.random())])
         if rng.random() < p_ins:
             out.append(letters[rng.integers(len(letters))])
 
@@ -173,7 +206,7 @@ def emit_lattice(cfg: ChannelConfig, transcript: str) -> FrameLattice:
     corrupted = corrupt(cfg, transcript)
     rng = _rng_for(cfg.seed, transcript, _SALT_LATTICE)
     chars = lattice_chars(cfg.alphabet)
-    index = {c: i for i, c in enumerate(chars)}
+    soft_rows = cfg._lattice_rows
 
     blank_row = np.zeros(len(chars))
     blank_row[0] = 1.0
@@ -182,10 +215,7 @@ def emit_lattice(cfg: ChannelConfig, transcript: str) -> FrameLattice:
     for c in corrupted:
         if prev is not None and (c == prev or rng.random() < _GAP_BLANK_PROB):
             rows.append(blank_row)
-        soft = cfg.noise_row(c, cap=_SOFT_CAP)
-        row = np.zeros(len(chars))
-        for x, p in soft.items():
-            row[index[x]] = p
+        row = soft_rows[c]
         for _ in range(1 + (rng.random() < _DUP_PROB)):
             rows.append(row)
         prev = c

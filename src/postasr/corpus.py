@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
+
 DETERMINERS = ("the", "a", "my", "her", "his", "our", "this", "that")
 NOUNS = (
     "cat", "dog", "bird", "boat", "train", "garden", "house", "river",
@@ -91,7 +93,7 @@ def generate_corpus(cfg: CorpusConfig) -> list[str]:
 
 
 def save_corpus(path, sentences) -> None:
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         f.write("\n".join(sentences) + "\n")
 
 

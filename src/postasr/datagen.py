@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .atomic import atomic_write
 from .channel import ChannelConfig, corrupt
 from .evalkit import wer
 
@@ -98,10 +99,12 @@ def generate(corpus, cfg: DataGenConfig, fold_channels: list[ChannelConfig]) -> 
     if len(fold_channels) != cfg.folds:
         raise ValueError(f"expected {cfg.folds} fold channels, got {len(fold_channels)}")
     fold_of = kfold_split(corpus, cfg.folds, cfg.seed)
+    # Built once per fold, so each round's channel tables are built once.
+    fold_rounds = [list(_rounds(cfg, ch)) for ch in fold_channels]
     pairs = []
     for idx, sentence in enumerate(corpus):
         fold = fold_of[idx]
-        for tag, ch in _rounds(cfg, fold_channels[fold]):
+        for tag, ch in fold_rounds[fold]:
             try:
                 source = corrupt(ch, sentence)
             except ValueError as e:
@@ -148,7 +151,7 @@ def variant(pairs, which: str, cfg: DataGenConfig) -> list[ParallelPair]:
 
 
 def write_pairs_jsonl(path, pairs) -> None:
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         for p in pairs:
             f.write(
                 json.dumps(

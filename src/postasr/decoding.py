@@ -15,11 +15,14 @@ so the reported decomposition is exact by construction.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .atomic import atomic_write
 
 NEG_INF = -math.inf
 
@@ -124,15 +127,30 @@ def fused_beam_search(lattice: FrameLattice, lm, cfg: FusionConfig) -> NBestList
 
     ``lm`` scores whole sentences via ``logprob_sentence`` and single words
     via ``cond_logprob``; pass None to search on acoustic score alone.
+
+    Only labels with a finite log-probability in a frame are expanded, and
+    an extension is kept only when its log-mass is finite, so every
+    hypothesis has a finite acoustic score. When fewer than cfg.width
+    prefixes are reachable, fewer than cfg.width hypotheses come back; the
+    search never pads the list with impossible (-inf) prefixes. Skipped
+    terms add exactly nothing in log space, so finite scores are the same
+    as those of a search over every label.
     """
     space = " "
+    blank = lattice.blank
     bos_history = (("<s>",) * (lm.order - 1)) if lm is not None and lm.order > 1 else ()
     empty_state = _LmState(bos_history, 0.0)
+    lam = cfg.lam
+
+    def prune_key(item):
+        prefix, (p_b, p_nb, state) = item
+        lm_term = lam * state.total if lam else 0.0
+        return (-(_logaddexp(p_b, p_nb) + lm_term), prefix)
 
     # prefix -> [ends-in-blank logprob, ends-in-nonblank logprob, lm state]
     beam = {"": [0.0, NEG_INF, empty_state]}
-    for t in range(lattice.frames()):
-        frame = lattice.log_probs[t]
+    for frame in lattice.log_probs.tolist():
+        labels = [(c, lp) for c, lp in zip(lattice.chars, frame) if lp != NEG_INF]
         nxt: dict[str, list] = {}
 
         def slot(prefix, state):
@@ -145,18 +163,18 @@ def fused_beam_search(lattice: FrameLattice, lm, cfg: FusionConfig) -> NBestList
         for prefix, (p_b, p_nb, state) in beam.items():
             total = _logaddexp(p_b, p_nb)
             last = prefix[-1] if prefix else None
-            for c_idx, c in enumerate(lattice.chars):
-                lp = float(frame[c_idx])
-                if c_idx == 0:
+            for c, lp in labels:
+                if c == blank:
                     e = slot(prefix, state)
                     e[0] = _logaddexp(e[0], total + lp)
                 elif c == last:
                     # Same symbol: repeat collapses unless a blank intervened.
-                    e = slot(prefix, state)
-                    e[1] = _logaddexp(e[1], p_nb + lp)
-                    grown = prefix + c
-                    e2 = slot(grown, state)
-                    e2[1] = _logaddexp(e2[1], p_b + lp)
+                    if p_nb != NEG_INF:
+                        e = slot(prefix, state)
+                        e[1] = _logaddexp(e[1], p_nb + lp)
+                    if p_b != NEG_INF:
+                        e2 = slot(prefix + c, state)
+                        e2[1] = _logaddexp(e2[1], p_b + lp)
                 else:
                     grown = prefix + c
                     new_state = state
@@ -167,12 +185,8 @@ def fused_beam_search(lattice: FrameLattice, lm, cfg: FusionConfig) -> NBestList
                     e = slot(grown, new_state)
                     e[1] = _logaddexp(e[1], total + lp)
 
-        def prune_key(item):
-            prefix, (p_b, p_nb, state) = item
-            lm_term = cfg.lam * state.total if cfg.lam else 0.0
-            return (-(_logaddexp(p_b, p_nb) + lm_term), prefix)
-
-        beam = dict(sorted(nxt.items(), key=prune_key)[: cfg.width])
+        # Same key and tie order as a full sort truncated to the width.
+        beam = dict(heapq.nsmallest(cfg.width, nxt.items(), key=prune_key))
 
     hyps = []
     for prefix, (p_b, p_nb, _) in beam.items():
@@ -196,7 +210,7 @@ def _score_json(x: float):
 
 def write_nbest_jsonl(path, utterances: list[NBestList]) -> None:
     """One utterance per line: {"nbest": [hypothesis objects]}."""
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         for nb in utterances:
             row = {
                 "nbest": [

@@ -25,6 +25,7 @@ from . import channel as chan
 from . import checkpoint as ck
 from . import datagen, evalkit, ngram
 from . import wordpiece as wp
+from .atomic import atomic_write
 from .corpus import (CorpusConfig, eval_count, generate_corpus, load_corpus, save_corpus,
                      train_eval_split)
 from .decoding import FusionConfig, ctc_greedy, fused_beam_search, write_nbest_jsonl
@@ -371,7 +372,8 @@ def _gen_data(cfg: dict, out_dir: Path) -> StageResult:
 
     sample = train_s[: cfg["channel"]["calibration_sentences"]]
     base = chan.calibrate_strength(_channel_base(cfg), sample, cfg["channel"]["target_wer"])
-    (out_dir / CHANNEL_FILE).write_text(chan.config_to_json(base) + "\n")
+    with atomic_write(out_dir / CHANNEL_FILE) as f:
+        f.write(chan.config_to_json(base) + "\n")
 
     dg = _datagen_config(cfg)
     fold_channels = [dataclasses.replace(base, seed=_derived_seed(seed, 1000 + f))
@@ -391,7 +393,8 @@ def _gen_data(cfg: dict, out_dir: Path) -> StageResult:
     train_variant = datagen.variant(pairs, cfg["data"]["variant"], dg)
     hist = evalkit.wer_histogram(((p.target, p.source) for p in train_variant),
                                  HISTOGRAM_BIN_WIDTH)
-    (out_dir / HISTOGRAM_FILE).write_text(hist.to_csv())
+    with atomic_write(out_dir / HISTOGRAM_FILE) as f:
+        f.write(hist.to_csv())
 
     eval_wer = evalkit.wer_corpus((p.target, p.source) for p in eval_pairs).rate
     summary = {

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,43 @@ def distinct_corpus(n, seed=0):
     return [" ".join(rng.choice(words) for _ in range(rng.integers(4, 9))) for _ in range(n)]
 
 
+def reference_corrupt(cfg, transcript):
+    """corrupt() drawing each character from a fresh noise_row through
+    Generator.choice, without the config's tables."""
+    rng = channel._rng_for(cfg.seed, transcript, channel._SALT_CORRUPT)
+    s = cfg.dropout_strength
+    p_del, p_ins = min(cfg.del_prob * s, 1.0), min(cfg.ins_prob * s, 1.0)
+    letters = cfg.alphabet.replace(" ", "")
+    out = []
+    for c in transcript:
+        if rng.random() >= p_del:
+            row = cfg.noise_row(c)
+            targets = sorted(row)
+            probs = np.array([row[x] for x in targets])
+            out.append(targets[rng.choice(len(targets), p=probs / probs.sum())])
+        if rng.random() < p_ins:
+            out.append(letters[rng.integers(len(letters))])
+    text = "".join(out)
+    if cfg.cutout_rate > 0 and text:
+        starts = rng.random(len(text)) < cfg.cutout_rate
+        lo, hi = cfg.cutout_len
+        keep = np.ones(len(text), dtype=bool)
+        for i in np.flatnonzero(starts):
+            keep[i: i + int(rng.integers(lo, hi + 1))] = False
+        text = "".join(ch for ch, k in zip(text, keep) if k)
+    return " ".join(text.split())
+
+
+def reference_soft_row(cfg, c):
+    """The log-probability frame of character c, built from noise_row."""
+    chars = channel.lattice_chars(cfg.alphabet)
+    row = np.zeros(len(chars))
+    for x, p in cfg.noise_row(c, cap=channel._SOFT_CAP).items():
+        row[chars.index(x)] = p
+    with np.errstate(divide="ignore"):
+        return np.log(row)
+
+
 class TestCorrupt:
     def test_zero_noise_identity(self):
         cfg = quiet_config()
@@ -70,6 +109,48 @@ class TestCorrupt:
         text = " ".join(SENTENCES)
         out = corrupt(cfg, text)
         assert len(out) < len(text)
+
+
+class TestTables:
+    @pytest.mark.parametrize("seed", [0, 7, 1234])
+    @pytest.mark.parametrize("strength", [0.5, 1.0, 4.0])
+    @pytest.mark.parametrize("cutout_rate", [0.0, 0.05])
+    def test_table_draws_match_choice_reference(self, seed, strength, cutout_rate):
+        cfg = default_config(seed=seed, dropout_strength=strength, cutout_rate=cutout_rate,
+                             del_prob=0.02, ins_prob=0.02)
+        for text in SENTENCES + distinct_corpus(20, seed=seed):
+            assert corrupt(cfg, text) == reference_corrupt(cfg, text)
+
+    def test_lattice_rows_come_from_noise_row(self):
+        cfg = default_config(seed=8, dropout_strength=3.0)
+        lat = emit_lattice(cfg, SENTENCES[1])
+        rows = {tuple(reference_soft_row(cfg, c)) for c in cfg.alphabet}
+        blank = tuple(np.where(np.arange(len(lat.chars)) == 0, 0.0, -np.inf))
+        assert {tuple(r) for r in lat.log_probs} <= rows | {blank}
+
+    def test_replaced_config_uses_its_own_tables(self):
+        text = " ".join(SENTENCES)
+        cfg = default_config(seed=3)
+        corrupt(cfg, text)
+        emit_lattice(cfg, text)
+        stronger = dataclasses.replace(cfg, dropout_strength=4.0)
+        assert corrupt(stronger, text) == reference_corrupt(stronger, text)
+        assert corrupt(stronger, text) != corrupt(cfg, text)
+        lat = emit_lattice(stronger, text)
+        first = reference_corrupt(stronger, text)[0]
+        assert np.array_equal(lat.log_probs[0], reference_soft_row(stronger, first))
+
+    def test_tables_leave_equality_and_json_alone(self):
+        fresh = default_config(seed=42, dropout_strength=1.5, cutout_rate=0.02)
+        used = default_config(seed=42, dropout_strength=1.5, cutout_rate=0.02)
+        corrupt(used, SENTENCES[0])
+        emit_lattice(used, SENTENCES[0])
+        assert used == fresh
+        assert config_to_json(used) == config_to_json(fresh)
+        assert config_from_json(config_to_json(used)) == used
+        assert [f.name for f in dataclasses.fields(ChannelConfig)] == [
+            "confusion", "del_prob", "ins_prob", "dropout_strength", "cutout_rate",
+            "cutout_len", "seed", "alphabet"]
 
 
 class TestMonotonicity:

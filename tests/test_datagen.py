@@ -194,6 +194,21 @@ class TestPairFile:
         lines = path.read_text().splitlines()
         assert len(lines) == 2
 
+    def test_writer_raising_partway_leaves_no_truncated_file(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        write_pairs_jsonl(path, [pair("a x", "a b")])
+        before = path.read_bytes()
+
+        def pairs_then_crash():
+            yield pair("c", "c")
+            yield pair("d", "d")
+            raise RuntimeError("generator died")
+
+        with pytest.raises(RuntimeError):
+            write_pairs_jsonl(path, pairs_then_crash())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["pairs.jsonl"]
+
 
 class TestConfig:
     def test_validation(self):

@@ -70,6 +70,18 @@ def ctc_forward_logprob(lattice, labels):
     return float(total)
 
 
+def sparse_lattice(rng, frames, chars):
+    """A random lattice whose rows hold exact zeros, as emit_lattice's rows
+    do, with at least one nonzero label per row."""
+    probs = np.exp(rng.normal(scale=2.0, size=(frames, len(chars))))
+    keep = rng.random(probs.shape) < 0.5
+    keep[np.arange(frames), rng.integers(len(chars), size=frames)] = True
+    probs *= keep
+    probs /= probs.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        return FrameLattice(np.log(probs), chars)
+
+
 def brute_force_best(lattice, lm, lam):
     """Enumerate every label sequence of length <= T and rank by fused score."""
     labels = lattice.chars[1:]
@@ -184,6 +196,26 @@ class TestFusedBeamSearch:
         lm = tiny_lm()
         got = fused_beam_search(lat, lm, FusionConfig(lam=lam, width=256)).top().text
         assert got == brute_force_best(lat, lm, lam)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([0.0, 0.5, 2.0]))
+    def test_oracle_equivalence_on_sparse_lattices(self, seed, lam):
+        rng = np.random.default_rng(seed)
+        chars = "- ab"[: int(rng.integers(2, 5))]
+        frames = int(rng.integers(1, 5))
+        lat = sparse_lattice(rng, frames, chars)
+        lm = tiny_lm()
+        out = fused_beam_search(lat, lm, FusionConfig(lam=lam, width=256))
+        assert out.top().text == brute_force_best(lat, lm, lam)
+        assert all(h.acoustic > -math.inf for h in out.hypotheses)
+
+    def test_impossible_prefixes_do_not_pad_the_beam(self):
+        # Only "a" is reachable; the beam returns it alone, not three more
+        # prefixes of acoustic score -inf.
+        with np.errstate(divide="ignore"):
+            lat = FrameLattice(np.log(np.array([[0.0, 0.0, 1.0, 0.0]])), "- ab")
+        out = fused_beam_search(lat, tiny_lm(), FusionConfig(lam=0.5, width=4))
+        assert [(h.text, h.acoustic) for h in out.hypotheses] == [("a", 0.0)]
 
     def test_empty_lattice_yields_empty_text(self):
         lat = FrameLattice(np.zeros((0, 4)), "- ab")

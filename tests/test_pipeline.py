@@ -1,6 +1,7 @@
 """End-to-end checks for the stage pipeline on a micro workload."""
 
 import fcntl
+import hashlib
 import json
 import os
 import re
@@ -383,7 +384,27 @@ class TestManifest:
         assert pl.read_manifest(tmp_path) == []
 
 
+# SHA-256 of the micro config's gen-data and decode artifacts, recorded
+# before the channel tables and the sparse-label beam replaced per-character
+# Generator.choice draws and the all-label beam (numpy 2.4.6, x86-64). A
+# refactor of either path must leave these bytes unchanged.
+GOLDEN_SHA256 = {
+    pl.CHANNEL_FILE: "f2a0cd77820d9f06f91b1c208f8a15de9a027fe98e292aad3e0835ba9f14dade",
+    pl.PAIRS_FILE: "0c94e6ecb7f3231faaee84bdbce64727349486bc53beab3476af8bf138c89df1",
+    pl.EVAL_PAIRS_FILE: "0bb5581454824e35082abb45f9213d41497b89f9df1895c1969f35bf03f8cf29",
+    pl.NBEST_FILE: "0ecb88c1429af05861e9baa7b402136db48b8c3d419fdf9761a58d70e8bc5e47",
+}
+
+
 class TestDeterminism:
+    def test_gen_data_and_decode_match_golden_digests(self, tmp_path):
+        cfg = micro_config()
+        for stage in ("gen-data", "lm-fit", "decode"):
+            pl.run_stage(stage, cfg, tmp_path)
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in GOLDEN_SHA256}
+        assert got == GOLDEN_SHA256
+
     def test_demo_repeats_byte_identical(self, demo_dir, tmp_path_factory):
         again = tmp_path_factory.mktemp("demo_again")
         pl.run_stage("demo", micro_config(), again)
