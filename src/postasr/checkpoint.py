@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
+
 FORMAT = "postasr-checkpoint-v1"
 MANIFEST_NAME = "manifest.txt"
 BLOB_NAME = "tensors.bin"
@@ -61,9 +63,9 @@ def save(ckpt: Checkpoint, directory) -> None:
         dims = ",".join(str(d) for d in arr.shape)
         lines.append(f"tensor\t{name}\t{dims}\t{len(blob)}")
         blob.extend(np.ascontiguousarray(arr, dtype=_DTYPE).tobytes())
-    with open(os.path.join(directory, MANIFEST_NAME), "w") as f:
+    with atomic_write(os.path.join(directory, MANIFEST_NAME)) as f:
         f.write("\n".join(lines) + "\n")
-    with open(os.path.join(directory, BLOB_NAME), "wb") as f:
+    with atomic_write(os.path.join(directory, BLOB_NAME), "wb") as f:
         f.write(bytes(blob))
 
 

@@ -41,23 +41,28 @@ def wer(reference: str, hypothesis: str) -> WerBreakdown:
     ref = reference.split()
     hyp = hypothesis.split()
     n, m = len(ref), len(hyp)
+    if ref == hyp:
+        return WerBreakdown(0, 0, 0, n)
 
-    # dp[j] = (cost, deletions) for the current row, compared lexicographically.
-    prev = [(j, 0) for j in range(m + 1)]
-    for i in range(1, n + 1):
-        cur = [(i, i)] + [None] * m
-        for j in range(1, m + 1):
-            sub_cost = 0 if ref[i - 1] == hyp[j - 1] else 1
-            c, d = prev[j - 1]
-            best = (c + sub_cost, d)
-            c, d = prev[j]
-            best = min(best, (c + 1, d + 1))
-            c, d = cur[j - 1]
-            best = min(best, (c + 1, d))
-            cur[j] = best
+    # dp[j] = cost * k + deletions for the current row: deletions never
+    # exceed n < k, so one integer orders as the pair (cost, deletions).
+    k = n + 1
+    prev = list(range(0, (m + 1) * k, k))
+    for i, r in enumerate(ref, 1):
+        left = i * k + i
+        cur = [left]
+        for h, diag, up in zip(hyp, prev, prev[1:]):
+            if r != h:
+                diag += k
+            up += k + 1
+            left += k
+            if up < diag:
+                diag = up
+            left = diag if diag < left else left
+            cur.append(left)
         prev = cur
 
-    cost, deletions = prev[m]
+    cost, deletions = divmod(prev[m], k)
     insertions = deletions - (n - m)
     substitutions = cost - deletions - insertions
     return WerBreakdown(substitutions, insertions, deletions, n)

@@ -170,20 +170,10 @@ def _ids_array(ids, spec: ModelSpec, what: str) -> np.ndarray:
     return arr
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    y = nk.matmul(x, w)
-    bb = nk.broadcast_to(nk.reshape(b, (1,) * (len(y.shape) - 1) + b.shape), y.shape)
-    return nk.add(y, bb)
-
-
-def _mask_const(tape: Tape, mask: np.ndarray, shape) -> Tensor:
-    return tape.constant(np.broadcast_to(mask, shape))
-
-
 def _project_heads(spec, t, prefix, x):
     """Linear projection ``prefix`` of x (B, T, H), split into heads: (B, A, T, d)."""
     b, tlen, _ = x.shape
-    y = _linear(x, t[f"{prefix}.weight"], t[f"{prefix}.bias"])
+    y = nk.linear(x, t[f"{prefix}.weight"], t[f"{prefix}.bias"])
     return nk.transpose(nk.reshape(y, (b, tlen, spec.A, spec.head_dim)), (0, 2, 1, 3))
 
 
@@ -198,10 +188,11 @@ def _attend(tape, spec, t, prefix, x_q, q, k, v, mask, train, seeds):
     b, tq, h = x_q.shape
     tk = k.shape[2]
     scores = nk.mul_scalar(nk.matmul(q, nk.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(spec.head_dim))
-    scores = nk.add(scores, _mask_const(tape, mask, (b, spec.A, tq, tk)))
+    if mask.any():  # an all-zero mask blocks no key and leaves every probability as it is
+        scores = nk.add(scores, tape.constant(np.broadcast_to(mask, (b, spec.A, tq, tk))))
     probs = nk.dropout(nk.softmax(scores, axis=-1), spec.P_drop, seeds.next(), train)
     ctx = nk.reshape(nk.transpose(nk.matmul(probs, v), (0, 2, 1, 3)), (b, tq, h))
-    out = _linear(ctx, t[f"{prefix}.out.weight"], t[f"{prefix}.out.bias"])
+    out = nk.linear(ctx, t[f"{prefix}.out.weight"], t[f"{prefix}.out.bias"])
     out = nk.dropout(out, spec.P_drop, seeds.next(), train)
     return nk.layer_norm(nk.add(x_q, out), t[f"{prefix}.norm.gain"], t[f"{prefix}.norm.bias"])
 
@@ -215,8 +206,8 @@ def _attention(tape, spec, t, prefix, x_q, x_kv, mask, train, seeds):
 
 def _ffn(tape, spec, t, prefix, x, train, seeds):
     del tape
-    h = nk.gelu(_linear(x, t[f"{prefix}.in.weight"], t[f"{prefix}.in.bias"]))
-    out = _linear(h, t[f"{prefix}.out.weight"], t[f"{prefix}.out.bias"])
+    h = nk.gelu(nk.linear(x, t[f"{prefix}.in.weight"], t[f"{prefix}.in.bias"]))
+    out = nk.linear(h, t[f"{prefix}.out.weight"], t[f"{prefix}.out.bias"])
     out = nk.dropout(out, spec.P_drop, seeds.next(), train)
     return nk.layer_norm(nk.add(x, out), t[f"{prefix}.norm.gain"], t[f"{prefix}.norm.bias"])
 
@@ -339,10 +330,11 @@ def _decode_step(tape, spec, t, prefix, cache, cross, src_keys, out_proj) -> np.
     Only the newest token runs through the decoder, at position T - 1. Its
     self-attention keys and values are appended to ``cache`` (per layer, a
     (k, v) pair of (rows, A, T - 1, d) arrays, replaced by the (rows, A, T, d)
-    result); ``cross`` holds each layer's cross-attention keys and values.
-    Generated pad tokens stay masked as keys, as in ``build_forward``.
+    result); ``cross`` holds each layer's cross-attention keys and values,
+    broadcast to the rows. Generated pad tokens stay masked as keys, as in
+    ``build_forward``.
     """
-    rows, tlen = prefix.shape
+    tlen = prefix.shape[1]
     seeds = _Seeds(0)
     y = _embed(tape, spec, t, prefix[:, -1:], False, seeds, start=tlen - 1)
     self_keys = _pad_keys(prefix)
@@ -355,8 +347,7 @@ def _decode_step(tape, spec, t, prefix, cache, cross, src_keys, out_proj) -> np.
         y = _attend(tape, spec, t, p, y, q, tape.constant(k), tape.constant(v), self_keys, False, seeds)
         p = f"decoder.{l}.cross_attn"
         q = _project_heads(spec, t, f"{p}.q", y)
-        k, v = (nk.broadcast_to(m, (rows,) + m.shape[1:]) for m in cross[l])
-        y = _attend(tape, spec, t, p, y, q, k, v, src_keys, False, seeds)
+        y = _attend(tape, spec, t, p, y, q, *cross[l], src_keys, False, seeds)
         y = _ffn(tape, spec, t, f"decoder.{l}.ffn", y, False, seeds)
     return _log_softmax_np(nk.matmul(y, out_proj).value[:, 0, :].astype(np.float64))
 
@@ -411,6 +402,7 @@ def correct(spec: ModelSpec, weights: dict[str, np.ndarray], src_ids, width: int
     memory, src_keys = _encode(tape, spec, t, src, False, _Seeds(0))
     cross = [tuple(_project_heads(spec, t, f"decoder.{l}.cross_attn.{proj}", memory) for proj in "kv")
              for l in range(spec.L)]
+    cross_by_rows = {}  # live-row count -> cross K/V broadcast to that many rows
     out_proj = nk.transpose(t["embed.token"], (1, 0))
 
     # One score per live hypothesis; the decoder state (prefix ids and K/V
@@ -421,7 +413,10 @@ def correct(spec: ModelSpec, weights: dict[str, np.ndarray], src_ids, width: int
     cache = [(empty, empty)] * spec.L
     finished = []
     while len(scores) and prefix.shape[1] < cap:
-        logp = _decode_step(tape, spec, t, prefix, cache, cross, src_keys, out_proj)
+        n = len(prefix)
+        if n not in cross_by_rows:
+            cross_by_rows[n] = [[nk.broadcast_to(m, (n,) + m.shape[1:]) for m in kv] for kv in cross]
+        logp = _decode_step(tape, spec, t, prefix, cache, cross_by_rows[n], src_keys, out_proj)
         total = scores[:, None] + logp[: len(scores)]
         parents, toks = _best_candidates(total, prefix.tolist(), width)
         ids = np.concatenate([prefix[parents], toks[:, None]], axis=1)

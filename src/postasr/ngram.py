@@ -24,6 +24,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .atomic import atomic_write
+
 BOS = "<s>"
 EOS = "</s>"
 UNK = "<unk>"
@@ -176,7 +178,7 @@ def _from_log10(text: str) -> float:
 def save_arpa(model: NgramModel, path) -> None:
     """Plain-text model file: per-order blocks of (log10 interpolated
     probability, n-gram, log10 backoff weight of the n-gram as a context)."""
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         f.write("\\data\\\n")
         for k in range(model.order):
             f.write(f"ngram {k + 1}={len(model.logprob[k])}\n")

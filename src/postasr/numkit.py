@@ -5,7 +5,8 @@ high-precision checks). Elementwise math and matrix products (BLAS
 contractions) run in the tape's dtype; the other reductions accumulate in
 float64. Elementwise primitives require exact shape agreement and never
 broadcast implicitly; ``broadcast_to`` is the one explicit way to expand a
-shape.
+shape, and ``linear`` the one primitive that adds a vector across rows
+(its bias).
 
 A ``Tape`` records only what a gradient can reach. A tensor is
 ``tracked`` or not: ``Tape.leaf`` makes a tracked input, ``Tape.constant``
@@ -39,6 +40,7 @@ __all__ = [
     "dropout",
     "embedding",
     "matmul",
+    "linear",
     "broadcast_to",
 ]
 
@@ -96,10 +98,12 @@ class Tape:
         return self._input(value, False)
 
     def _make(self, value: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-        out = self._input(value, any(t.tracked for t in inputs))
-        if out.tracked:
-            self._records.append((out, inputs, backward_fn))
-        return out
+        for t in inputs:
+            if t.tracked:
+                out = self._input(value, True)
+                self._records.append((out, inputs, backward_fn))
+                return out
+        return self._input(value, False)
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(node) into every tracked node's ``grad``.
@@ -127,7 +131,9 @@ class Tape:
                 if t.grad is None:
                     t.grad = np.asarray(g, dtype=self.dtype, order="C")
                 else:
-                    t.grad = t.grad + np.asarray(g, dtype=self.dtype)
+                    # Rounds g to the tape dtype, then adds: the bits of
+                    # t.grad + g.astype(dtype), without that copy.
+                    t.grad = np.add(t.grad, g, dtype=self.dtype, casting="unsafe")
 
 
 def _same_tape(*tensors: Tensor) -> Tape:
@@ -217,7 +223,9 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
+    inv = [0] * len(axes)
+    for i, axis in enumerate(axes):
+        inv[axis] = i
     return a.tape._make(np.ascontiguousarray(a.value.transpose(axes)), (a,), lambda g: (g.transpose(inv),))
 
 
@@ -231,13 +239,12 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 
     def backward(g):
         extra = g.ndim - len(src)
-        g64 = g.astype(np.float64)
         if extra:
-            g64 = g64.sum(axis=tuple(range(extra)))
-        keep = tuple(i for i, n in enumerate(src) if n == 1 and g64.shape[i] != 1)
+            g = g.sum(axis=tuple(range(extra)), dtype=np.float64)
+        keep = tuple(i for i, n in enumerate(src) if n == 1 and g.shape[i] != 1)
         if keep:
-            g64 = g64.sum(axis=keep, keepdims=True)
-        return (g64,)
+            g = g.sum(axis=keep, keepdims=True, dtype=np.float64)
+        return (g,)
 
     return a.tape._make(np.array(out_val), (a,), backward)
 
@@ -308,6 +315,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return tape._make(np.matmul(av, bv), (a, b), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b``: the folded product of ``matmul`` with a 2-d ``w``,
+    plus the bias vector ``b`` added to every row.
+
+    The bias gradient is the row sum of the output gradient, in float64.
+    """
+    tape = _same_tape(x, w, b)
+    xv, wv, bv = x.value, w.value, b.value
+    if xv.ndim < 2 or wv.ndim != 2 or xv.shape[-1] != wv.shape[0] or bv.shape != wv.shape[1:]:
+        raise ValueError(f"linear: cannot apply weight {wv.shape} and bias {bv.shape} to {xv.shape}")
+    x2 = xv.reshape(-1, xv.shape[-1])
+
+    def backward(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return ((g2 @ wv.T).reshape(xv.shape), x2.T @ g2, g2.sum(axis=0, dtype=np.float64))
+
+    return tape._make((x2 @ wv + bv).reshape(xv.shape[:-1] + bv.shape), (x, w, b), backward)
+
+
 # -- fused neural-net primitives -------------------------------------------
 
 
@@ -354,20 +380,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ValueError(
             f"layer_norm: gain/bias shapes {gain.value.shape}/{bias.value.shape} do not match last dim of {x.value.shape}"
         )
+    # The float64 mean and variance np.mean and np.var compute (sum, then
+    # divide by n), without their Python wrappers.
+    n = d[0]
     x64 = x.value.astype(np.float64)
-    mu = x64.mean(axis=-1, keepdims=True)
-    var = x64.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x64 - mu) * inv
+    centred = x64 - np.add.reduce(x64, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(centred * centred, axis=-1, keepdims=True) / n + eps)
+    xhat = centred * inv
     gv = gain.value.astype(np.float64)
     out = xhat * gv + bias.value
 
     def backward(g):
-        n = x.value.shape[-1]
         gg = g.astype(np.float64)
         d_xhat = gg * gv
-        m1 = d_xhat.mean(axis=-1, keepdims=True)
-        m2 = (d_xhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = np.add.reduce(d_xhat, axis=-1, keepdims=True) / n
+        m2 = np.add.reduce(d_xhat * xhat, axis=-1, keepdims=True) / n
         gx = inv * (d_xhat - m1 - xhat * m2)
         lead = tuple(range(gg.ndim - 1))
         g_gain = (gg * xhat).sum(axis=lead) if lead else gg * xhat

@@ -612,8 +612,9 @@ def _ablate_stage(cfg: dict, out_dir: Path) -> StageResult:
         runs[table].append((label, "eval", [(p.target, p.source) for p in corrected]))
     table1 = evalkit.ablation_report(runs["data"])
     table2 = evalkit.ablation_report(runs["init"])
-    (out_dir / TABLE1_FILE).write_text(table1.to_csv())
-    (out_dir / TABLE2_FILE).write_text(table2.to_csv())
+    for name, table in ((TABLE1_FILE, table1), (TABLE2_FILE, table2)):
+        with atomic_write(out_dir / name) as f:
+            f.write(table.to_csv())
 
     summary = {
         "table1": {label: w for label, _, w in table1.rows},
@@ -634,7 +635,8 @@ def _demo_stage(cfg: dict, out_dir: Path) -> StageResult:
         stage_summaries[name] = _run_locked(name, cfg, out_dir)
     report = {"version": VERSION, "scale": cfg["scale"], "seed": cfg["seed"],
               "stages": stage_summaries}
-    (out_dir / REPORT_FILE).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    with atomic_write(out_dir / REPORT_FILE) as f:
+        f.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     summary = {
         "eval_channel_wer": stage_summaries["gen-data"]["eval_channel_wer"],
         "corrected_wer": stage_summaries["correct"]["wer_after"],

@@ -14,6 +14,8 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .atomic import atomic_write
+
 DEFAULT_ALPHABET = "abcdefghijklmnopqrstuvwxyz'"
 CONT = "##"
 
@@ -50,7 +52,7 @@ class Vocab:
         return self.pieces[idx]
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
+        with atomic_write(path) as f:
             f.write("\n".join(self.pieces) + "\n")
 
     def content_hash(self) -> str:

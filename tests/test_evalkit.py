@@ -1,11 +1,12 @@
 import csv
 import io
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postasr.evalkit import ablation_report, wer, wer_corpus, wer_histogram
+from postasr.evalkit import WerBreakdown, ablation_report, wer, wer_corpus, wer_histogram
 
 WORDS = ["a", "b", "c", "d", "e"]
 
@@ -42,6 +43,34 @@ def oracle_breakdown(ref, hyp):
     """Min-cost triple, ties broken toward fewest deletions (= most subs)."""
     triples = all_alignments(ref.split(), hyp.split())
     return min(triples, key=lambda t: (sum(t), t[1]))
+
+
+def reference_wer(reference, hypothesis):
+    """The (cost, deletions) tuple DP that ``wer`` ran before it packed the
+    pair into one integer, kept verbatim as the reference."""
+    ref = reference.split()
+    hyp = hypothesis.split()
+    n, m = len(ref), len(hyp)
+
+    # dp[j] = (cost, deletions) for the current row, compared lexicographically.
+    prev = [(j, 0) for j in range(m + 1)]
+    for i in range(1, n + 1):
+        cur = [(i, i)] + [None] * m
+        for j in range(1, m + 1):
+            sub_cost = 0 if ref[i - 1] == hyp[j - 1] else 1
+            c, d = prev[j - 1]
+            best = (c + sub_cost, d)
+            c, d = prev[j]
+            best = min(best, (c + 1, d + 1))
+            c, d = cur[j - 1]
+            best = min(best, (c + 1, d))
+            cur[j] = best
+        prev = cur
+
+    cost, deletions = prev[m]
+    insertions = deletions - (n - m)
+    substitutions = cost - deletions - insertions
+    return WerBreakdown(substitutions, insertions, deletions, n)
 
 
 def read_table(text):
@@ -100,6 +129,22 @@ class TestWer:
         assert fwd.deletions == rev.insertions
         assert fwd.insertions == rev.deletions
         assert fwd.substitutions == rev.substitutions
+
+
+    def test_matches_tuple_dp_on_seeded_pairs(self):
+        rng = random.Random(16)
+        words = WORDS + ["f", "g", "h"]
+        for _ in range(2000):
+            ref = " ".join(rng.choices(words, k=rng.randint(0, 14)))
+            if rng.random() < 0.2:
+                hyp = ref
+            else:
+                hyp = " ".join(rng.choices(words, k=rng.randint(0, 14)))
+            fwd, rev = wer(ref, hyp), wer(hyp, ref)
+            assert fwd == reference_wer(ref, hyp)
+            assert rev == reference_wer(hyp, ref)
+            assert (fwd.deletions, fwd.insertions, fwd.substitutions) == (rev.insertions, rev.deletions,
+                                                                         rev.substitutions)
 
 
 class TestWerCorpus:

@@ -1,5 +1,6 @@
 """Corrector model tests: shapes, masks, loss identities, decoding."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -400,3 +401,52 @@ class TestCorrect:
             monkeypatch.setattr(model, name, counted)
         correct(SPEC, WEIGHTS, [4, 5, 6, 7], width=width, max_out=10)
         assert calls == {"_encode": 1, "build_forward": 0}
+
+
+DEEP_SPEC = ModelSpec(L=2, H=32, A=4, P_drop=0.0, V=40, max_len=12)
+
+
+def hypothesis_bits(w, src, width):
+    """Each hypothesis of ``correct`` as its ids and the exact bits of both scores."""
+    return [(h.ids, float(h.logprob).hex(), float(h.normalized).hex())
+            for h in correct(DEEP_SPEC, w, src, width=width, max_out=10)]
+
+
+class ZeroMaskAdded(np.ndarray):
+    """A mask that claims to block some key, so ``_attend`` adds it even
+    when every entry is 0."""
+
+    def any(self, *args, **kwargs):
+        return True
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_skipping_an_all_zero_mask_changes_no_hypothesis(monkeypatch, width):
+    rng = np.random.default_rng(12)
+    cases = [(random_weights(DEEP_SPEC, seed=400 + trial, std=0.4),
+              rng.integers(4, DEEP_SPEC.V, size=rng.integers(2, 9)).tolist()) for trial in range(4)]
+    skipped = [hypothesis_bits(w, src, width) for w, src in cases]
+    real = model._pad_keys
+    monkeypatch.setattr(model, "_pad_keys", lambda ids: real(ids).view(ZeroMaskAdded))
+    assert [hypothesis_bits(w, src, width) for w, src in cases] == skipped
+
+
+# SHA-256 of the hypotheses of ``correct`` at widths 1 and 4, recorded before
+# numkit's linear primitive, the skipped all-zero mask and the per-row-count
+# cross K/V replaced the matmul + broadcast bias chain (numpy 2.4.6, x86-64).
+GOLDEN_CORRECT_SHA256 = {
+    1: "281c813bfbeae5be7831e891a2a09f4e3d3e9a1cd147a9a143c1c608488f7ebb",
+    4: "f5f8965ed3032d184b2ab17c4082a568977dd418b71e3f1f1d546d562f0593a5",
+}
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_correct_matches_golden_digest(width):
+    rng = np.random.default_rng(17)
+    h = hashlib.sha256()
+    for trial in range(4):
+        w = random_weights(DEEP_SPEC, seed=300 + trial, std=0.4)
+        for _ in range(3):
+            src = rng.integers(4, DEEP_SPEC.V, size=rng.integers(2, 9)).tolist()
+            h.update(repr(hypothesis_bits(w, src, width)).encode())
+    assert h.hexdigest() == GOLDEN_CORRECT_SHA256[width]

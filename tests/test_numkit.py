@@ -238,6 +238,15 @@ FD_CASES = {
             np.random.default_rng(17).normal(size=(2,)),
         ],
     ),
+    "linear": (
+        lambda t, ls: scalar_loss(numkit.mul(numkit.linear(ls[0], ls[1], ls[2]), ls[3])),
+        [
+            np.random.default_rng(26).normal(size=(2, 3, 4)),
+            np.random.default_rng(27).normal(size=(4, 5)),
+            np.random.default_rng(28).normal(size=(5,)),
+            np.random.default_rng(29).normal(size=(2, 3, 5)),
+        ],
+    ),
     "transpose_mix": (
         lambda t, ls: scalar_loss(numkit.matmul(numkit.transpose(ls[0], (1, 0)), ls[1])),
         [np.random.default_rng(18).normal(size=(4, 3)), np.random.default_rng(19).normal(size=(4, 2))],
@@ -338,6 +347,67 @@ def test_matmul_2d_rhs_matches_batched_numpy(lead):
     for got, want in [(out.value, np.matmul(a, b)), (la.grad, want_ga), (lb.grad, want_gb)]:
         assert got.dtype == np.float32 and got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+
+
+def matmul_broadcast_add(x, w, b):
+    """The product plus a bias as separate primitives, as models wrote it
+    before ``linear``."""
+    y = numkit.matmul(x, w)
+    return numkit.add(y, numkit.broadcast_to(numkit.reshape(b, (1,) * (len(y.shape) - 1) + b.shape), y.shape))
+
+
+@pytest.mark.parametrize("lead", [(5,), (4, 6), (2, 3, 5)], ids=["2d", "3d", "4d"])
+def test_linear_matches_matmul_broadcast_add_bit_for_bit(lead):
+    rng = np.random.default_rng(33)
+    x, w, b = rng.normal(size=lead + (7,)), rng.normal(size=(7, 3)), rng.normal(size=3)
+    weight = rng.normal(size=lead + (3,)).astype(np.float32)
+    runs = []
+    for fn in (numkit.linear, matmul_broadcast_add):
+        tape = Tape()
+        leaves = [tape.leaf(v) for v in (x, w, b)]
+        out = fn(*leaves)
+        tape.backward(numkit.tensor_sum(numkit.mul(out, tape.constant(weight))))
+        runs.append([out.value] + [leaf.grad for leaf in leaves])
+    for got, want in zip(*runs):
+        assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_linear_shapes_checked():
+    tape = Tape()
+    x, w = tape.leaf(np.zeros((2, 4))), tape.leaf(np.zeros((4, 3)))
+    for bad_x, bad_w, bad_b in [(x, w, tape.leaf(np.zeros(4))), (x, tape.leaf(np.zeros((3, 3))), tape.leaf(np.zeros(3))),
+                                (tape.leaf(np.zeros(4)), w, tape.leaf(np.zeros(3)))]:
+        with pytest.raises(ValueError, match="linear"):
+            numkit.linear(bad_x, bad_w, bad_b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_matches_mean_var_form_bit_for_bit(dtype):
+    """Forward and gradients against the same arithmetic written with
+    np.mean and np.var."""
+    rng = np.random.default_rng(34)
+    x = (3.0 * rng.normal(size=(3, 5, 16)) + 1.0).astype(dtype)
+    gain, bias = (1.0 + 0.1 * rng.normal(size=16)).astype(dtype), (0.1 * rng.normal(size=16)).astype(dtype)
+    weight = rng.normal(size=x.shape).astype(dtype)
+    tape = Tape(dtype)
+    leaves = [tape.leaf(v) for v in (x, gain, bias)]
+    out = numkit.layer_norm(*leaves)
+    tape.backward(numkit.tensor_sum(numkit.mul(out, tape.constant(weight))))
+
+    x64, gv, gg = x.astype(np.float64), gain.astype(np.float64), weight.astype(np.float64)
+    inv = 1.0 / np.sqrt(x64.var(axis=-1, keepdims=True) + 1e-5)
+    xhat = (x64 - x64.mean(axis=-1, keepdims=True)) * inv
+    d_xhat = gg * gv
+    want = [
+        xhat * gv + bias,
+        inv * (d_xhat - d_xhat.mean(axis=-1, keepdims=True) - xhat * (d_xhat * xhat).mean(axis=-1, keepdims=True)),
+        (gg * xhat).sum(axis=(0, 1)),
+        gg.sum(axis=(0, 1)),
+    ]
+    for got, ref in zip([out.value] + [leaf.grad for leaf in leaves], want):
+        assert got.dtype == dtype
+        assert got.tobytes() == ref.astype(dtype).tobytes()
 
 
 def test_dropout_gradient_uses_same_mask():

@@ -1,11 +1,14 @@
 """Training-loop tests: batching, determinism, loss descent, pretraining."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from postasr import checkpoint as ck
 from postasr.initialization import InitPlan, build_weights, init_random, transfer_encoder
-from postasr.model import BOS, EOS, PAD, ModelSpec
+from postasr.model import BOS, EOS, PAD, ModelSpec, build_forward, label_smoothed_loss
+from postasr.numkit import Tape
 from postasr.optim import OptimizerConfig, poly_decay
 from postasr.training import (
     EncodedPair,
@@ -244,3 +247,48 @@ class TestCheckpointIO:
         meta, back_w, _ = load_training_checkpoint(tmp_path / "w")
         assert meta == SPEC.to_meta()
         assert set(back_w) == set(weights)
+
+
+# SHA-256 of one batch's gradients, and of the weights and losses after a few
+# seeded steps, on a micro spec with dropout, recorded before numkit's linear
+# primitive and cheaper tape replaced the matmul + broadcast bias chain
+# (numpy 2.4.6, x86-64). A change to the numkit or model path must leave
+# these bits unchanged.
+GOLDEN_SPEC = ModelSpec(L=2, H=16, A=2, P_drop=0.1, V=24, max_len=12)
+GOLDEN_TRAIN_SHA256 = {
+    "grads": "4ff70c95dd83bb7dc19c7d8b7e44c7a00d1a22809977080fa560ac4688c33706",
+    "train": "0b37a8ac9b71e422daf47861d845658b2c845c59ca6d408b52bc4636984687c8",
+    "pretrain": "5b79583fb2cc7cde335a8ef86e8e4566d0b6ecbc2d206ce046a9ad94367f3b34",
+}
+
+
+def result_digest(result):
+    h = hashlib.sha256()
+    for name in sorted(result.weights):
+        h.update(name.encode() + result.weights[name].tobytes())
+    h.update(np.array(result.losses, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def first_batch_grads_digest():
+    """The gradients of one train-mode batch: a last-bit change in a small
+    gradient can vanish from the weights after a few optimizer steps."""
+    tape = Tape()
+    leaves = {n: tape.leaf(a) for n, a in init_random(GOLDEN_SPEC, seed=1).items()}
+    src, tgt_in, targets = pad_batch(toy_pairs(6, seed=3))
+    tape.backward(label_smoothed_loss(build_forward(tape, GOLDEN_SPEC, leaves, src, tgt_in, train=True, seed=5),
+                                      targets))
+    return hashlib.sha256(b"".join(n.encode() + leaves[n].grad.tobytes() for n in sorted(leaves))).hexdigest()
+
+
+class TestGoldenDigests:
+    def test_train_and_pretrain_match_golden_digests(self):
+        cfg = TrainConfig(steps=6, token_budget=48, seed=9)
+        got = {
+            "grads": first_batch_grads_digest(),
+            "train": result_digest(train(GOLDEN_SPEC, init_random(GOLDEN_SPEC, seed=1),
+                                         toy_pairs(12, seed=3), cfg)),
+            "pretrain": result_digest(pretrain_encoder(GOLDEN_SPEC,
+                                                       TestPretrain().make_sentences(12), cfg)),
+        }
+        assert got == GOLDEN_TRAIN_SHA256
