@@ -195,15 +195,16 @@ def lattice_chars(alphabet: str = ALPHABET) -> str:
     return BLANK + alphabet
 
 
-def emit_lattice(cfg: ChannelConfig, transcript: str) -> FrameLattice:
-    """Render the corrupted transcript as per-frame label distributions.
+def emit_lattice(cfg: ChannelConfig, transcript: str, corrupted: str) -> FrameLattice:
+    """Render ``corrupted``, the channel's ``corrupt(cfg, transcript)``, as
+    per-frame label distributions.
 
     Each output character spans one or two frames carrying its scaled
     confusion row as soft mass; blank frames separate characters at random
     and always between equal neighbors, so greedy collapse recovers the
     corrupted text exactly whenever no confusable outweighs the character.
+    The frame draws are seeded by (config seed, clean ``transcript``).
     """
-    corrupted = corrupt(cfg, transcript)
     rng = _rng_for(cfg.seed, transcript, _SALT_LATTICE)
     chars = lattice_chars(cfg.alphabet)
     soft_rows = cfg._lattice_rows

@@ -170,24 +170,32 @@ def _ids_array(ids, spec: ModelSpec, what: str) -> np.ndarray:
     return arr
 
 
-def _project_heads(spec, t, prefix, x):
-    """Linear projection ``prefix`` of x (B, T, H), split into heads: (B, A, T, d)."""
+# Head layouts for _project_heads: (B, T, A, d) -> (B, A, T, d) for queries
+# and values, -> (B, A, d, T) for keys, the right operand of q @ k^T.
+_HEADS = (0, 2, 1, 3)
+_KEY_HEADS = (0, 2, 3, 1)
+
+
+def _project_heads(spec, t, prefix, x, axes=_HEADS):
+    """Linear projection ``prefix`` of x (B, T, H), split into heads and
+    permuted by ``axes`` from (B, T, A, d)."""
     b, tlen, _ = x.shape
     y = nk.linear(x, t[f"{prefix}.weight"], t[f"{prefix}.bias"])
-    return nk.transpose(nk.reshape(y, (b, tlen, spec.A, spec.head_dim)), (0, 2, 1, 3))
+    return nk.transpose(nk.reshape(y, (b, tlen, spec.A, spec.head_dim)), axes)
 
 
 def _attend(tape, spec, t, prefix, x_q, q, k, v, mask, train, seeds):
-    """Heads q (B, A, Tq, d) over keys and values k, v (B, A, Tk, d), then the
-    output projection and the residual norm around x_q (B, Tq, H).
+    """Heads q (B, A, Tq, d) over keys k (B, A, d, Tk) and values v
+    (B, A, Tk, d), then the output projection and the residual norm around
+    x_q (B, Tq, H).
 
     The query heads come in projected, so a self-attention block records its
     q, k and v projections in that order and the gradients reaching x_q add
     up in the same order whoever calls this.
     """
     b, tq, h = x_q.shape
-    tk = k.shape[2]
-    scores = nk.mul_scalar(nk.matmul(q, nk.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(spec.head_dim))
+    tk = k.shape[3]
+    scores = nk.mul_scalar(nk.matmul(q, k), 1.0 / math.sqrt(spec.head_dim))
     if mask.any():  # an all-zero mask blocks no key and leaves every probability as it is
         scores = nk.add(scores, tape.constant(np.broadcast_to(mask, (b, spec.A, tq, tk))))
     probs = nk.dropout(nk.softmax(scores, axis=-1), spec.P_drop, seeds.next(), train)
@@ -199,7 +207,7 @@ def _attend(tape, spec, t, prefix, x_q, q, k, v, mask, train, seeds):
 
 def _attention(tape, spec, t, prefix, x_q, x_kv, mask, train, seeds):
     q = _project_heads(spec, t, f"{prefix}.q", x_q)
-    k = _project_heads(spec, t, f"{prefix}.k", x_kv)
+    k = _project_heads(spec, t, f"{prefix}.k", x_kv, _KEY_HEADS)
     v = _project_heads(spec, t, f"{prefix}.v", x_kv)
     return _attend(tape, spec, t, prefix, x_q, q, k, v, mask, train, seeds)
 
@@ -303,11 +311,13 @@ def label_smoothed_loss(logits: Tensor, targets, cfg: LossConfig = LossConfig())
     n = int(mask.sum())
     if n == 0:
         raise ValueError("label_smoothed_loss: every position is padding")
-    # Per-position mixed distribution q, zero at pad positions.
-    q = np.full(targets.shape + (v,), cfg.smoothing / v, dtype=np.float64)
-    np.put_along_axis(q, targets[..., None], cfg.smoothing / v + (1.0 - cfg.smoothing), axis=-1)
-    coeff = logits.tape.constant(-(q * mask[..., None]) / n)
-    return nk.tensor_sum(nk.mul(nk.log_softmax(logits, axis=-1), coeff))
+    # -q / n for the per-position mixed distribution q, rounded once to the
+    # tape dtype; -0.0 at pad positions, the sign -(0 * q) / n gives.
+    off = cfg.smoothing / v
+    coeff = np.full(targets.shape + (v,), -off / n, dtype=logits.tape.dtype)
+    np.put_along_axis(coeff, targets[..., None], -(off + (1.0 - cfg.smoothing)) / n, axis=-1)
+    coeff[~mask] = -0.0
+    return nk.tensor_sum(nk.mul(nk.log_softmax(logits, axis=-1), logits.tape.constant(coeff)))
 
 
 @dataclass(frozen=True)
@@ -329,10 +339,10 @@ def _decode_step(tape, spec, t, prefix, cache, cross, src_keys, out_proj) -> np.
 
     Only the newest token runs through the decoder, at position T - 1. Its
     self-attention keys and values are appended to ``cache`` (per layer, a
-    (k, v) pair of (rows, A, T - 1, d) arrays, replaced by the (rows, A, T, d)
-    result); ``cross`` holds each layer's cross-attention keys and values,
-    broadcast to the rows. Generated pad tokens stay masked as keys, as in
-    ``build_forward``.
+    (k, v) pair of (rows, A, d, T - 1) and (rows, A, T - 1, d) arrays,
+    replaced by the pair one position longer); ``cross`` holds each layer's
+    cross-attention keys and values in the same layouts, broadcast to the
+    rows. Generated pad tokens stay masked as keys, as in ``build_forward``.
     """
     tlen = prefix.shape[1]
     seeds = _Seeds(0)
@@ -341,8 +351,9 @@ def _decode_step(tape, spec, t, prefix, cache, cross, src_keys, out_proj) -> np.
     for l in range(spec.L):
         p = f"decoder.{l}.self_attn"
         q = _project_heads(spec, t, f"{p}.q", y)
-        k, v = (np.concatenate([old, _project_heads(spec, t, f"{p}.{proj}", y).value], axis=2)
-                for old, proj in zip(cache[l], "kv"))
+        k_old, v_old = cache[l]
+        k = np.concatenate([k_old, _project_heads(spec, t, f"{p}.k", y, _KEY_HEADS).value], axis=3)
+        v = np.concatenate([v_old, _project_heads(spec, t, f"{p}.v", y).value], axis=2)
         cache[l] = (k, v)
         y = _attend(tape, spec, t, p, y, q, tape.constant(k), tape.constant(v), self_keys, False, seeds)
         p = f"decoder.{l}.cross_attn"
@@ -400,7 +411,8 @@ def correct(spec: ModelSpec, weights: dict[str, np.ndarray], src_ids, width: int
     tape = Tape()
     t = {name: tape.constant(arr) for name, arr in weights.items()}
     memory, src_keys = _encode(tape, spec, t, src, False, _Seeds(0))
-    cross = [tuple(_project_heads(spec, t, f"decoder.{l}.cross_attn.{proj}", memory) for proj in "kv")
+    cross = [tuple(_project_heads(spec, t, f"decoder.{l}.cross_attn.{proj}", memory, axes)
+                   for proj, axes in zip("kv", (_KEY_HEADS, _HEADS)))
              for l in range(spec.L)]
     cross_by_rows = {}  # live-row count -> cross K/V broadcast to that many rows
     out_proj = nk.transpose(t["embed.token"], (1, 0))
@@ -409,8 +421,8 @@ def correct(spec: ModelSpec, weights: dict[str, np.ndarray], src_ids, width: int
     # cache) has a row per live hypothesis and at least two rows.
     scores = np.zeros(1)
     prefix = np.full((2, 1), BOS, dtype=np.int64)
-    empty = np.zeros((2, spec.A, 0, spec.head_dim), dtype=tape.dtype)
-    cache = [(empty, empty)] * spec.L
+    cache = [(np.zeros((2, spec.A, spec.head_dim, 0), dtype=tape.dtype),
+              np.zeros((2, spec.A, 0, spec.head_dim), dtype=tape.dtype))] * spec.L
     finished = []
     while len(scores) and prefix.shape[1] < cap:
         n = len(prefix)

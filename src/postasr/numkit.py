@@ -19,6 +19,16 @@ when ``backward`` returns.
 
 Every operation is deterministic; the only stochastic primitive, ``dropout``,
 takes an explicit seed and a train/eval flag and is the identity at eval.
+
+Ownership: a primitive writes in place (``out=``, ``*=``) only into arrays
+it allocated in the same call, never into an input's ``value``, the
+gradient its backward receives, or any ``grad``: ``add`` hands one gradient
+object to both operands, and a node's first gradient can be that very
+object, so ``Tape.backward`` accumulates out of place. In-place forms keep
+the bits of the plain expressions: the same ufuncs on the same dtypes in
+the same order, commuted (exact) but never re-associated, Python scalars
+weak, and a float64 result rounded once into a tape-dtype ``out=`` exactly
+as ``Tape`` would cast it.
 """
 
 from __future__ import annotations
@@ -198,17 +208,38 @@ def gelu(a: Tensor) -> Tensor:
     """
     x = a.value
     x2 = x * x
-    inner = _GELU_C * (x + 0.044715 * x2 * x)
+    # inner = _GELU_C * (x + 0.044715 * x2 * x), out = 0.5 * x * (1 + tanh)
+    inner = np.multiply(x2, 0.044715)
+    inner *= x
+    inner += x
+    inner *= _GELU_C
     tanh = np.tanh(inner)
-    out = 0.5 * x * (1.0 + tanh)
+    out = np.add(tanh, 1.0)
+    out *= 0.5 * x
 
     def backward(g):
         # 1 - tanh**2 as 4e / (1 + e)**2 with e = exp(-2|inner|): the
         # subtraction loses all float32 digits once |tanh| rounds near 1.
-        e = np.exp(-2 * np.abs(inner))
-        sech2 = 4 * e / ((1.0 + e) * (1.0 + e))
-        d = 0.5 * (1.0 + tanh) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * x2)
-        return (g * d,)
+        # d = 0.5 * (1 + tanh) + 0.5 * x * sech2 * _GELU_C * (1 + 3 * 0.044715 * x2),
+        # built in two buffers.
+        e = np.abs(inner)
+        e *= -2
+        np.exp(e, out=e)
+        buf = np.add(e, 1.0)
+        buf *= buf
+        e *= 4
+        e /= buf  # sech2
+        np.multiply(x, 0.5, out=buf)
+        buf *= e
+        buf *= _GELU_C
+        np.multiply(x2, 3 * 0.044715, out=e)
+        e += 1.0
+        buf *= e
+        np.add(tanh, 1.0, out=e)
+        e *= 0.5
+        e += buf
+        e *= g
+        return (e,)
 
     return a.tape._make(out, (a,), backward)
 
@@ -331,7 +362,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         g2 = g.reshape(-1, g.shape[-1])
         return ((g2 @ wv.T).reshape(xv.shape), x2.T @ g2, g2.sum(axis=0, dtype=np.float64))
 
-    return tape._make((x2 @ wv + bv).reshape(xv.shape[:-1] + bv.shape), (x, w, b), backward)
+    out = x2 @ wv
+    out += bv
+    return tape._make(out.reshape(xv.shape[:-1] + bv.shape), (x, w, b), backward)
 
 
 # -- fused neural-net primitives -------------------------------------------
@@ -341,13 +374,15 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Max-subtracted softmax along ``axis``."""
     if x.value.size == 0:
         raise ValueError("softmax of an empty input")
-    shifted = x.value - x.value.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = (e / e.sum(axis=axis, keepdims=True, dtype=np.float64)).astype(x.value.dtype)
+    s = x.value - x.value.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    # The float64 quotient, rounded once into s.
+    np.divide(s, s.sum(axis=axis, keepdims=True, dtype=np.float64), out=s, casting="unsafe")
 
     def backward(g):
-        dot = (g * s).sum(axis=axis, keepdims=True, dtype=np.float64)
-        return (s * (g - dot),)
+        gs = g * s
+        diff = g - gs.sum(axis=axis, keepdims=True, dtype=np.float64)
+        return (np.multiply(diff, s, out=gs, casting="unsafe"),)
 
     return x.tape._make(s, (x,), backward)
 
@@ -355,14 +390,15 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     if x.value.size == 0:
         raise ValueError("log_softmax of an empty input")
-    v = x.value.astype(np.float64)
-    shifted = v - v.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = shifted - lse
+    out = x.value.astype(np.float64)
+    out -= out.max(axis=axis, keepdims=True)
     s = np.exp(out)
+    out -= np.log(s.sum(axis=axis, keepdims=True))
+    np.exp(out, out=s)
 
     def backward(g):
-        return (g - s * g.sum(axis=axis, keepdims=True, dtype=np.float64),)
+        gs = s * g.sum(axis=axis, keepdims=True, dtype=np.float64)
+        return (np.subtract(g, gs, out=gs),)
 
     return x.tape._make(out, (x,), backward)
 
@@ -383,21 +419,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     # The float64 mean and variance np.mean and np.var compute (sum, then
     # divide by n), without their Python wrappers.
     n = d[0]
-    x64 = x.value.astype(np.float64)
-    centred = x64 - np.add.reduce(x64, axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(np.add.reduce(centred * centred, axis=-1, keepdims=True) / n + eps)
-    xhat = centred * inv
+    xhat = x.value.astype(np.float64)
+    xhat -= np.add.reduce(xhat, axis=-1, keepdims=True) / n
+    buf = xhat * xhat
+    inv = 1.0 / np.sqrt(np.add.reduce(buf, axis=-1, keepdims=True) / n + eps)
+    xhat *= inv
     gv = gain.value.astype(np.float64)
-    out = xhat * gv + bias.value
+    np.multiply(xhat, gv, out=buf)
+    out = np.add(buf, bias.value, out=np.empty(x.value.shape, tape.dtype), casting="unsafe")
 
     def backward(g):
         gg = g.astype(np.float64)
         d_xhat = gg * gv
         m1 = np.add.reduce(d_xhat, axis=-1, keepdims=True) / n
-        m2 = np.add.reduce(d_xhat * xhat, axis=-1, keepdims=True) / n
-        gx = inv * (d_xhat - m1 - xhat * m2)
+        buf = d_xhat * xhat
+        m2 = np.add.reduce(buf, axis=-1, keepdims=True) / n
+        # gx = inv * (d_xhat - m1 - xhat * m2), rounded once to the tape dtype
+        d_xhat -= m1
+        d_xhat -= np.multiply(xhat, m2, out=buf)
+        gx = np.multiply(d_xhat, inv, out=np.empty(g.shape, g.dtype), casting="unsafe")
+        np.multiply(gg, xhat, out=buf)
         lead = tuple(range(gg.ndim - 1))
-        g_gain = (gg * xhat).sum(axis=lead) if lead else gg * xhat
+        g_gain = buf.sum(axis=lead) if lead else buf
         g_bias = gg.sum(axis=lead) if lead else gg
         return (gx, g_gain, g_bias)
 
@@ -411,7 +454,8 @@ def dropout(x: Tensor, p: float, seed: int, train: bool) -> Tensor:
     if not train or p == 0.0:
         return x
     rng = np.random.default_rng(seed)
-    mask = (rng.random(x.value.shape) >= p).astype(x.value.dtype) / (1.0 - p)
+    mask = (rng.random(x.value.shape) >= p).astype(x.value.dtype)
+    mask /= 1.0 - p
     return x.tape._make(x.value * mask, (x,), lambda g: (g * mask,))
 
 

@@ -76,15 +76,20 @@ def novograd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     first = state.step == 0
     new_m, new_v, new_p = {}, {}, {}
     for name, w in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != w.shape:
-            raise ValueError(f"grad shape {g.shape} does not match param {name!r} shape {w.shape}")
-        sq = float((g * g).sum())
+        # m starts as a float64 copy of the gradient and becomes the new
+        # first moment in place; buf holds each float64 product in turn.
+        m = np.array(grads[name], dtype=np.float64)
+        if m.shape != w.shape:
+            raise ValueError(f"grad shape {m.shape} does not match param {name!r} shape {w.shape}")
+        buf = np.multiply(m, m)
+        sq = float(buf.sum())
         v = sq if first else cfg.beta2 * state.v[name] + (1.0 - cfg.beta2) * sq
-        w64 = np.asarray(w, dtype=np.float64)
-        update = g / (math.sqrt(v) + cfg.eps) + cfg.weight_decay * w64
-        m = update if first else cfg.beta1 * state.m[name] + update
+        m /= math.sqrt(v) + cfg.eps
+        m += np.multiply(w, cfg.weight_decay, out=buf, dtype=np.float64)
+        if not first:
+            m += np.multiply(state.m[name], cfg.beta1, out=buf)
         new_v[name] = v
         new_m[name] = m
-        new_p[name] = (w64 - lr_t * m).astype(w.dtype)
+        np.multiply(m, lr_t, out=buf)
+        new_p[name] = np.subtract(w, buf, out=np.empty_like(w), dtype=np.float64, casting="unsafe")
     return new_p, OptimizerState(m=new_m, v=new_v, step=state.step + 1)

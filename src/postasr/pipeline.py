@@ -557,24 +557,25 @@ def _correct_stage(cfg: dict, out_dir: Path) -> StageResult:
 
 def _decode_stage(cfg: dict, out_dir: Path) -> StageResult:
     lm = ngram.load_arpa(_require(out_dir, LM_FILE))
-    eval_s = load_corpus(_require(out_dir, EVAL_CORPUS_FILE))
+    eval_pairs = datagen.read_pairs_jsonl(_require(out_dir, EVAL_PAIRS_FILE))
     base = chan.config_from_json(_require(out_dir, CHANNEL_FILE).read_text())
     eval_cc = dataclasses.replace(base, seed=_derived_seed(cfg["seed"], _EVAL_CHANNEL_KEY))
     fusion = FusionConfig(**cfg["decode"])
 
+    # gen-data wrote each eval sentence with its eval-channel corruption.
     nbests, greedy_pairs, fused_pairs = [], [], []
-    for s in eval_s:
-        lattice = chan.emit_lattice(eval_cc, s)
+    for p in eval_pairs:
+        lattice = chan.emit_lattice(eval_cc, p.target, p.source)
         nbest = fused_beam_search(lattice, lm, fusion)
         nbests.append(nbest)
-        greedy_pairs.append((s, ctc_greedy(lattice)))
-        fused_pairs.append((s, nbest.top().text))
+        greedy_pairs.append((p.target, ctc_greedy(lattice)))
+        fused_pairs.append((p.target, nbest.top().text))
     write_nbest_jsonl(out_dir / NBEST_FILE, nbests)
 
     summary = {"utterances": len(nbests),
                "greedy_wer": round(evalkit.wer_corpus(greedy_pairs).rate, 6),
                "fused_wer": round(evalkit.wer_corpus(fused_pairs).rate, 6)}
-    return StageResult(summary, inputs=(LM_FILE, EVAL_CORPUS_FILE, CHANNEL_FILE),
+    return StageResult(summary, inputs=(LM_FILE, EVAL_PAIRS_FILE, CHANNEL_FILE),
                        outputs=(NBEST_FILE,))
 
 

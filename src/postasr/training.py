@@ -9,6 +9,7 @@ transfer ablation uses as its synthetic checkpoint.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,6 +133,32 @@ def _pair_loss(spec: ModelSpec, smoothing: float, train: bool):
     return batch_loss
 
 
+# mallopt parameters of glibc's malloc.h, and the values the training loop sets.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_BYTES = 128 << 20
+_MMAP_BYTES = 32 << 20  # glibc's largest allowed mmap threshold
+
+
+def _keep_freed_heap() -> None:
+    """Keep the memory a step frees mapped for the next step.
+
+    Each step frees its tape, tens of MB of arrays, at once. glibc's
+    default then hands the free top of the heap back to the kernel (it
+    trims above twice its largest freed mmap block, a few MB here), and the
+    next step faults every page of it back in: up to 145k minor faults
+    per 22 steps at the small preset, up to 15% of the time. Fixed
+    thresholds keep up to 128 MB free and serve arrays under 32 MB from
+    the heap. The setting is process-wide and stays; without glibc's
+    ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)
+
+
 def _run_steps(params: dict[str, np.ndarray], encoded: list[EncodedPair], cfg: TrainConfig,
                rng_key: tuple[int, ...], batch_loss, log=None, stop=None) -> TrainResult:
     """NovoGrad over token-budget batches of ``encoded`` for cfg.steps steps.
@@ -141,6 +168,7 @@ def _run_steps(params: dict[str, np.ndarray], encoded: list[EncodedPair], cfg: T
     skip the batch; ``rng`` is the epoch's generator, which shuffled the
     batches. ``stop(step, params)`` may end the run after any step.
     """
+    _keep_freed_heap()
     state = init_state(params)
     losses: list[float] = []
     step = epoch = 0

@@ -123,7 +123,7 @@ class TestTables:
 
     def test_lattice_rows_come_from_noise_row(self):
         cfg = default_config(seed=8, dropout_strength=3.0)
-        lat = emit_lattice(cfg, SENTENCES[1])
+        lat = emit_lattice(cfg, SENTENCES[1], corrupt(cfg, SENTENCES[1]))
         rows = {tuple(reference_soft_row(cfg, c)) for c in cfg.alphabet}
         blank = tuple(np.where(np.arange(len(lat.chars)) == 0, 0.0, -np.inf))
         assert {tuple(r) for r in lat.log_probs} <= rows | {blank}
@@ -132,11 +132,11 @@ class TestTables:
         text = " ".join(SENTENCES)
         cfg = default_config(seed=3)
         corrupt(cfg, text)
-        emit_lattice(cfg, text)
+        emit_lattice(cfg, text, corrupt(cfg, text))
         stronger = dataclasses.replace(cfg, dropout_strength=4.0)
         assert corrupt(stronger, text) == reference_corrupt(stronger, text)
         assert corrupt(stronger, text) != corrupt(cfg, text)
-        lat = emit_lattice(stronger, text)
+        lat = emit_lattice(stronger, text, corrupt(stronger, text))
         first = reference_corrupt(stronger, text)[0]
         assert np.array_equal(lat.log_probs[0], reference_soft_row(stronger, first))
 
@@ -144,7 +144,7 @@ class TestTables:
         fresh = default_config(seed=42, dropout_strength=1.5, cutout_rate=0.02)
         used = default_config(seed=42, dropout_strength=1.5, cutout_rate=0.02)
         corrupt(used, SENTENCES[0])
-        emit_lattice(used, SENTENCES[0])
+        emit_lattice(used, SENTENCES[0], corrupt(used, SENTENCES[0]))
         assert used == fresh
         assert config_to_json(used) == config_to_json(fresh)
         assert config_from_json(config_to_json(used)) == used
@@ -172,7 +172,7 @@ class TestMonotonicity:
         rates = []
         for s in (1.0, 2.0):
             cfg = default_config(seed=13, dropout_strength=s)
-            pairs = [(t, ctc_greedy(emit_lattice(cfg, t))) for t in corpus]
+            pairs = [(t, ctc_greedy(emit_lattice(cfg, t, corrupt(cfg, t)))) for t in corpus]
             from postasr.evalkit import wer_corpus
 
             rates.append(wer_corpus(pairs).rate)
@@ -186,27 +186,27 @@ class TestEmitLattice:
         words = ["all", "base", "cat", "do", "we", "zoo", "mirror"]
         for _ in range(200):
             t = " ".join(rng.choice(words) for _ in range(rng.integers(1, 6)))
-            assert ctc_greedy(emit_lattice(cfg, t)) == t
+            assert ctc_greedy(emit_lattice(cfg, t, corrupt(cfg, t))) == t
 
     def test_rows_normalize(self):
         cfg = default_config(seed=4, dropout_strength=2.0)
-        lat = emit_lattice(cfg, SENTENCES[0])
+        lat = emit_lattice(cfg, SENTENCES[0], corrupt(cfg, SENTENCES[0]))
         sums = np.exp(lat.log_probs).sum(axis=1)
         assert np.abs(sums - 1.0).max() < 1e-5
 
     def test_deterministic(self):
         cfg = default_config(seed=6)
-        a = emit_lattice(cfg, SENTENCES[2])
-        b = emit_lattice(cfg, SENTENCES[2])
+        a = emit_lattice(cfg, SENTENCES[2], corrupt(cfg, SENTENCES[2]))
+        b = emit_lattice(cfg, SENTENCES[2], corrupt(cfg, SENTENCES[2]))
         assert np.array_equal(a.log_probs, b.log_probs)
 
     def test_repeated_letters_survive(self):
         # Words with double letters need a blank between the two frames.
         cfg = quiet_config(seed=2)
-        assert ctc_greedy(emit_lattice(cfg, "ball off")) == "ball off"
+        assert ctc_greedy(emit_lattice(cfg, "ball off", corrupt(cfg, "ball off"))) == "ball off"
 
     def test_empty_transcript(self):
-        lat = emit_lattice(quiet_config(), "")
+        lat = emit_lattice(quiet_config(), "", "")
         assert lat.frames() >= 1
         assert ctc_greedy(lat) == ""
 
