@@ -184,21 +184,21 @@ def _project_heads(spec, t, prefix, x, axes=_HEADS):
     return nk.transpose(nk.reshape(y, (b, tlen, spec.A, spec.head_dim)), axes)
 
 
-def _attend(tape, spec, t, prefix, x_q, q, k, v, mask, train, seeds):
+def _attend(spec, t, prefix, x_q, q, k, v, mask, train, seeds):
     """Heads q (B, A, Tq, d) over keys k (B, A, d, Tk) and values v
-    (B, A, Tk, d), then the output projection and the residual norm around
-    x_q (B, Tq, H).
+    (B, A, Tk, d) under the additive ``mask``, which broadcasts to the
+    scores (B, A, Tq, Tk), then the output projection and the residual norm
+    around x_q (B, Tq, H).
 
     The query heads come in projected, so a self-attention block records its
     q, k and v projections in that order and the gradients reaching x_q add
     up in the same order whoever calls this.
     """
     b, tq, h = x_q.shape
-    tk = k.shape[3]
     scores = nk.mul_scalar(nk.matmul(q, k), 1.0 / math.sqrt(spec.head_dim))
-    if mask.any():  # an all-zero mask blocks no key and leaves every probability as it is
-        scores = nk.add(scores, tape.constant(np.broadcast_to(mask, (b, spec.A, tq, tk))))
-    probs = nk.dropout(nk.softmax(scores, axis=-1), spec.P_drop, seeds.next(), train)
+    # An all-zero mask blocks no key and leaves every probability as it is.
+    probs = nk.softmax(scores, axis=-1, mask=mask if mask.any() else None)
+    probs = nk.dropout(probs, spec.P_drop, seeds.next(), train)
     ctx = nk.reshape(nk.transpose(nk.matmul(probs, v), (0, 2, 1, 3)), (b, tq, h))
     out = nk.linear(ctx, t[f"{prefix}.out.weight"], t[f"{prefix}.out.bias"])
     out = nk.dropout(out, spec.P_drop, seeds.next(), train)
@@ -206,10 +206,11 @@ def _attend(tape, spec, t, prefix, x_q, q, k, v, mask, train, seeds):
 
 
 def _attention(tape, spec, t, prefix, x_q, x_kv, mask, train, seeds):
+    del tape
     q = _project_heads(spec, t, f"{prefix}.q", x_q)
     k = _project_heads(spec, t, f"{prefix}.k", x_kv, _KEY_HEADS)
     v = _project_heads(spec, t, f"{prefix}.v", x_kv)
-    return _attend(tape, spec, t, prefix, x_q, q, k, v, mask, train, seeds)
+    return _attend(spec, t, prefix, x_q, q, k, v, mask, train, seeds)
 
 
 def _ffn(tape, spec, t, prefix, x, train, seeds):
@@ -355,10 +356,10 @@ def _decode_step(tape, spec, t, prefix, cache, cross, src_keys, out_proj) -> np.
         k = np.concatenate([k_old, _project_heads(spec, t, f"{p}.k", y, _KEY_HEADS).value], axis=3)
         v = np.concatenate([v_old, _project_heads(spec, t, f"{p}.v", y).value], axis=2)
         cache[l] = (k, v)
-        y = _attend(tape, spec, t, p, y, q, tape.constant(k), tape.constant(v), self_keys, False, seeds)
+        y = _attend(spec, t, p, y, q, tape.constant(k), tape.constant(v), self_keys, False, seeds)
         p = f"decoder.{l}.cross_attn"
         q = _project_heads(spec, t, f"{p}.q", y)
-        y = _attend(tape, spec, t, p, y, q, *cross[l], src_keys, False, seeds)
+        y = _attend(spec, t, p, y, q, *cross[l], src_keys, False, seeds)
         y = _ffn(tape, spec, t, f"decoder.{l}.ffn", y, False, seeds)
     return _log_softmax_np(nk.matmul(y, out_proj).value[:, 0, :].astype(np.float64))
 

@@ -15,7 +15,14 @@ inputs is. Only tracked results are recorded, so a graph built from
 constants alone (inference) records nothing. ``Tape.backward`` replays the
 record once, in reverse, accumulating a gradient into every tracked node,
 and consumes it: a tape is single-use, and the intermediates are freed
-when ``backward`` returns.
+when ``backward`` returns. When the process may use two CPUs or more,
+every gradient that reaches a leaf goes to a worker thread, which
+accumulates each leaf's contributions in the order they arrive (so the
+bits do not depend on it) while ``backward`` walks on along the chain of
+input gradients. A primitive's backward may return a zero-argument callable in
+place of an input's gradient; the worker calls it when that input is a
+leaf, ``backward`` inline otherwise. The worker is started and joined
+within each ``backward``, so forward-only code never starts a thread.
 
 Every operation is deterministic; the only stochastic primitive, ``dropout``,
 takes an explicit seed and a train/eval flag and is the identity at eval.
@@ -28,12 +35,18 @@ object, so ``Tape.backward`` accumulates out of place. In-place forms keep
 the bits of the plain expressions: the same ufuncs on the same dtypes in
 the same order, commuted (exact) but never re-associated, Python scalars
 weak, and a float64 result rounded once into a tape-dtype ``out=`` exactly
-as ``Tape`` would cast it.
+as ``Tape`` would cast it. A deferred gradient reads the arrays it
+captured after later records have run, so no primitive may write into
+them either. Deferred work runs under numpy's default ``errstate``, which
+is per-thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 
 import numpy as np
 
@@ -63,13 +76,14 @@ class Tensor:
     Only a ``tracked`` node, one that a leaf reaches, gets a ``grad``.
     """
 
-    __slots__ = ("tape", "value", "grad", "tracked")
+    __slots__ = ("tape", "value", "grad", "tracked", "leaf")
 
-    def __init__(self, tape: "Tape", value: np.ndarray, tracked: bool):
+    def __init__(self, tape: "Tape", value: np.ndarray, tracked: bool, leaf: bool = False):
         self.tape = tape
         self.value = value
         self.grad: np.ndarray | None = None
         self.tracked = tracked
+        self.leaf = leaf
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -82,7 +96,7 @@ class Tensor:
 class Tape:
     """Ordered record of the tracked primitive applications of one computation.
 
-    A tape is single-threaded and single-use: ``backward`` consumes the
+    A tape is used from one thread and once: ``backward`` consumes the
     record, and a later leaf, constant, primitive or ``backward`` on the
     tape raises. Independent tapes may run concurrently.
     """
@@ -95,13 +109,13 @@ class Tape:
         if self._records is None:
             raise ValueError("tape already ran backward; a tape is single-use")
 
-    def _input(self, value, tracked: bool) -> Tensor:
+    def _input(self, value, tracked: bool, leaf: bool = False) -> Tensor:
         self._check_open()
-        return Tensor(self, np.asarray(value, dtype=self.dtype, order="C"), tracked)
+        return Tensor(self, np.asarray(value, dtype=self.dtype, order="C"), tracked, leaf)
 
     def leaf(self, value) -> Tensor:
         """A graph input that receives a gradient."""
-        return self._input(value, True)
+        return self._input(value, True, True)
 
     def constant(self, value) -> Tensor:
         """A graph input that receives no gradient."""
@@ -120,7 +134,8 @@ class Tape:
 
         ``loss`` must be a tracked scalar (shape ``()``). The record is
         detached first, then each recorded primitive is visited exactly
-        once, in reverse application order.
+        once, in reverse application order. The gradients reaching leaves
+        go to ``_LeafWork``; any error it met is raised from here.
         """
         self._check_open()
         if loss.tape is not self:
@@ -131,19 +146,79 @@ class Tape:
             raise ValueError("loss depends on no leaf, so it has no gradient")
         records, self._records = self._records, None
         loss.grad = np.ones((), dtype=self.dtype)
-        for out, inputs, backward_fn in reversed(records):
-            if out.grad is None:
-                continue
-            gs = backward_fn(out.grad)
-            for t, g in zip(inputs, gs):
-                if not t.tracked:
+        with _LeafWork() as leaf_work:
+            for out, inputs, backward_fn in reversed(records):
+                if out.grad is None:
                     continue
-                if t.grad is None:
-                    t.grad = np.asarray(g, dtype=self.dtype, order="C")
-                else:
-                    # Rounds g to the tape dtype, then adds: the bits of
-                    # t.grad + g.astype(dtype), without that copy.
-                    t.grad = np.add(t.grad, g, dtype=self.dtype, casting="unsafe")
+                for t, g in zip(inputs, backward_fn(out.grad)):
+                    if t.leaf:
+                        leaf_work.put(t, g)
+                    elif t.tracked:
+                        _accumulate(t, g)
+
+
+def _accumulate(t: Tensor, g) -> None:
+    """Add gradient ``g``, or the result of calling it, into ``t.grad``."""
+    if callable(g):
+        g = g()
+    if t.grad is None:
+        t.grad = np.asarray(g, dtype=t.tape.dtype, order="C")
+    else:
+        # Rounds g to the tape dtype, then adds: the bits of
+        # t.grad + g.astype(dtype), without that copy.
+        t.grad = np.add(t.grad, g, dtype=t.tape.dtype, casting="unsafe")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _LeafWork:
+    """The gradients that reach leaves during one ``backward``, accumulated
+    in arrival order: by one worker thread, as FIFO tasks, when the process
+    may use more than one CPU, and inline when it may not (there the thread
+    only costs time).
+
+    Leaving the ``with`` block joins the worker. A raise in a task skips
+    the rest of the queue and is re-raised then, unless the block itself
+    is already raising.
+    """
+
+    def __init__(self):
+        self._tasks: queue.SimpleQueue | None = None
+        self._error: BaseException | None = None
+        if _usable_cpus() > 1:
+            self._tasks = queue.SimpleQueue()
+            self._thread = threading.Thread(target=self._run, name="numkit-leaf-grads", daemon=True)
+            self._thread.start()
+
+    def put(self, t: Tensor, g) -> None:
+        if self._tasks is None:
+            _accumulate(t, g)
+        else:
+            self._tasks.put((t, g))
+
+    def _run(self) -> None:
+        while (task := self._tasks.get()) is not None:
+            if self._error is None:
+                try:
+                    _accumulate(*task)
+                except BaseException as e:
+                    self._error = e
+
+    def __enter__(self) -> "_LeafWork":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._tasks is None:
+            return
+        self._tasks.put(None)
+        self._thread.join()
+        if self._error is not None and exc_type is None:
+            raise self._error
 
 
 def _same_tape(*tensors: Tensor) -> Tape:
@@ -351,6 +426,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     plus the bias vector ``b`` added to every row.
 
     The bias gradient is the row sum of the output gradient, in float64.
+    The weight and bias gradients are deferred (see ``Tape.backward``).
     """
     tape = _same_tape(x, w, b)
     xv, wv, bv = x.value, w.value, b.value
@@ -360,7 +436,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         g2 = g.reshape(-1, g.shape[-1])
-        return ((g2 @ wv.T).reshape(xv.shape), x2.T @ g2, g2.sum(axis=0, dtype=np.float64))
+        return ((g2 @ wv.T).reshape(xv.shape), lambda: x2.T @ g2,
+                lambda: g2.sum(axis=0, dtype=np.float64))
 
     out = x2 @ wv
     out += bv
@@ -370,11 +447,25 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # -- fused neural-net primitives -------------------------------------------
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax along ``axis``."""
-    if x.value.size == 0:
+def softmax(x: Tensor, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
+    """Max-subtracted softmax along ``axis`` of ``x``, or of ``x + mask``.
+
+    ``mask`` is a constant additive array (a large negative value blocks an
+    entry) that broadcasts to ``x``'s shape. It is rounded to the tape dtype
+    and added before the max shift: the bits of ``add`` with the mask as a
+    broadcast constant, without that copy and record. Its gradient is
+    ``x``'s, so the backward does not change.
+    """
+    xv = x.value
+    if xv.size == 0:
         raise ValueError("softmax of an empty input")
-    s = x.value - x.value.max(axis=axis, keepdims=True)
+    if mask is None:
+        s = xv - xv.max(axis=axis, keepdims=True)
+    else:
+        if np.broadcast_shapes(np.shape(mask), xv.shape) != xv.shape:
+            raise ValueError(f"softmax: mask {np.shape(mask)} does not broadcast to {xv.shape}")
+        s = np.add(xv, mask, dtype=xv.dtype)
+        s -= s.max(axis=axis, keepdims=True)
     np.exp(s, out=s)
     # The float64 quotient, rounded once into s.
     np.divide(s, s.sum(axis=axis, keepdims=True, dtype=np.float64), out=s, casting="unsafe")
@@ -406,7 +497,8 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean and unit variance, then scale/shift.
 
-    ``gain`` and ``bias`` are vectors matching the last dimension.
+    ``gain`` and ``bias`` are vectors matching the last dimension; their
+    gradients are deferred (see ``Tape.backward``).
     """
     if eps <= 0:
         raise ValueError("layer_norm: eps must be > 0")
@@ -438,11 +530,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         d_xhat -= m1
         d_xhat -= np.multiply(xhat, m2, out=buf)
         gx = np.multiply(d_xhat, inv, out=np.empty(g.shape, g.dtype), casting="unsafe")
-        np.multiply(gg, xhat, out=buf)
         lead = tuple(range(gg.ndim - 1))
-        g_gain = buf.sum(axis=lead) if lead else buf
-        g_bias = gg.sum(axis=lead) if lead else gg
-        return (gx, g_gain, g_bias)
+
+        def lead_sum(a):  # a sum over no axes would turn -0.0 into 0.0
+            return a.sum(axis=lead) if lead else a
+
+        return (gx, lambda: lead_sum(gg * xhat), lambda: lead_sum(gg))
 
     return tape._make(out, (x, gain, bias), backward)
 
@@ -469,13 +562,13 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         raise ValueError(f"embedding: id out of range for table with {v} rows")
     out_val = table.value[ids]
 
-    def backward(g):
+    def table_grad(g):
         # One float64 bin per (id, column), filled in input order from 0.0:
         # the same additions in the same order as np.add.at, so the same
         # bits, without its per-element dispatch.
         h = table.value.shape[-1]
         bins = (ids.reshape(-1, 1) * h + np.arange(h)).reshape(-1)
         acc = np.bincount(bins, weights=g.reshape(-1), minlength=table.value.size)
-        return (acc.reshape(table.value.shape),)
+        return acc.reshape(table.value.shape)
 
-    return table.tape._make(out_val, (table,), backward)
+    return table.tape._make(out_val, (table,), lambda g: (lambda: table_grad(g),))

@@ -58,16 +58,22 @@ def test_every_primitive_is_guarded():
 
 @pytest.fixture
 def checked_backward(monkeypatch):
-    """Wrap every recorded backward so that it fails if it changes the
-    bytes of the gradient it receives; returns the number of calls."""
+    """Wrap every recorded backward so that it fails if it, or a deferred
+    gradient it returns, changes the bytes of the gradient it receives;
+    returns the number of calls."""
     calls = []
     make = Tape._make
 
     def guarded_make(tape, value, inputs, backward_fn):
         def backward(g):
             before = g.tobytes()
-            grads = backward_fn(g)
-            assert g.tobytes() == before, "a backward wrote into the gradient it received"
+
+            def check(grad):
+                assert g.tobytes() == before, "a backward wrote into the gradient it received"
+                return grad
+
+            grads = [(lambda d=d: check(d())) if callable(d) else d for d in backward_fn(g)]
+            check(None)
             calls.append(g.shape)
             return grads
         return make(tape, value, inputs, backward)
@@ -247,6 +253,42 @@ def test_matches_plain_expressions_bit_for_bit(name, dtype):
     assert len(got_grads) == len(want_grads)
     for got, want in zip(got_grads, want_grads):
         assert_same_bytes(got, want, dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("causal", [True, False])
+def test_softmax_mask_matches_add_then_softmax_bit_for_bit(dtype, causal):
+    """``softmax(x, mask=m)`` against the mask added as a broadcast
+    constant, at the attention scores of the train benchmark, with pad keys
+    (and, for decoder self-attention, causal blocking) as the model builds
+    them."""
+    b, a, t, _ = BENCH_SHAPES["softmax"]
+    rng = np.random.default_rng(43)
+    x = (3.0 * rng.normal(size=(b, a, t, t))).astype(dtype)
+    g = rng.normal(size=x.shape).astype(dtype)
+    ids = rng.integers(PAD + 1, 50, size=(b, t))
+    for row, length in enumerate(rng.integers(2, t + 1, size=b)):
+        ids[row, length:] = PAD
+    mask = model._pad_keys(ids)
+    if causal:
+        mask = model._causal(t) + mask
+
+    def added(s):
+        return numkit.softmax(numkit.add(s, s.tape.constant(np.broadcast_to(mask, x.shape))))
+
+    want_out, want_grads = run_primitive(dtype, added, [x], g)
+    got_out, got_grads = run_primitive(dtype, lambda s: numkit.softmax(s, mask=mask), [x], g)
+    assert_same_bytes(got_out, want_out, dtype)
+    assert_same_bytes(got_grads[0], want_grads[0], dtype)
+
+
+def test_softmax_mask_must_broadcast_to_the_input():
+    tape = Tape()
+    x = tape.leaf(np.zeros((2, 3, 4)))
+    with pytest.raises(ValueError, match="broadcast"):
+        numkit.softmax(x, mask=np.zeros((2, 1, 5)))
+    with pytest.raises(ValueError, match="broadcast"):
+        numkit.softmax(x, mask=np.zeros((3, 2, 3, 4)))
 
 
 @pytest.mark.parametrize("dtype", DTYPES)

@@ -380,6 +380,14 @@ class TestManifest:
             for rel, digest in record["outputs"].items():
                 assert pl.file_sha256(demo_dir / rel) == digest
 
+    def test_train_timing_is_in_the_notes_not_the_summary(self, demo_dir):
+        record = next(r for r in pl.read_manifest(demo_dir) if r["subcommand"] == "train")
+        assert set(record["summary"]) == {"pairs", "steps", "final_loss"}
+        notes = record["notes"]
+        assert notes["train_s"] > 0
+        assert notes["steps_per_s"] == pytest.approx(record["summary"]["steps"] / notes["train_s"],
+                                                     rel=0.05)
+
     def test_missing_manifest_reads_empty(self, tmp_path):
         assert pl.read_manifest(tmp_path) == []
 
